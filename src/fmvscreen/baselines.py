@@ -8,6 +8,7 @@ from enum import Enum
 
 import numpy as np
 
+from .checks import check_matrix, check_response
 from .errors import InputError
 from .screening import ResponseKind, labels_for_schemes
 from .slicing import default_schemes
@@ -33,10 +34,8 @@ class BaselineKind(Enum):
 
 def pearson_scores(x: np.ndarray, y) -> np.ndarray:
     """|sample correlation| of y with every column; constant columns score 0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
-        raise InputError("x must be n-by-p and y length n")
+    x = check_matrix(x)
+    y = check_response(y, x.shape[0])
     if y.size < 2:
         raise InputError("need at least two observations")
     yc = y - y.mean()
@@ -57,62 +56,104 @@ def pearson_score(x, y) -> float:
 
 # -- Kendall tau-b ----------------------------------------------------------
 
-def _sorted_with_inversions(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Merge sort that also counts strict inversions (a[i] > a[j], i < j)."""
-    n = a.size
-    if n <= 1:
-        return a, 0
-    mid = n // 2
-    left, c_left = _sorted_with_inversions(a[:mid])
-    right, c_right = _sorted_with_inversions(a[mid:])
-    cross = int((left.size - np.searchsorted(left, right, side="right")).sum())
-    pos = np.searchsorted(left, right, side="left") + np.arange(right.size)
-    merged = np.empty(n, dtype=a.dtype)
-    taken = np.zeros(n, dtype=bool)
-    taken[pos] = True
-    merged[taken] = right
-    merged[~taken] = left
-    return merged, c_left + c_right + cross
-
-
 def _tie_pair_count(sorted_vals: np.ndarray) -> int:
     change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
     runs = np.diff(np.concatenate(([0], change + 1, [sorted_vals.size])))
     return int((runs * (runs - 1) // 2).sum())
 
 
-def kendall_score(x, y) -> float:
-    """|tau_b| with tie correction, via merge-sort inversion counting.
+_RANK_BLOCK = 256
 
-    After sorting by (x, y), discordant pairs are exactly the strict
-    inversions of the y sequence; concordant minus discordant then follows
-    from the pair-tie counts. All-tied x or y scores 0.
+
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Column-wise dense ranks 1..n in the smallest unsigned type holding n.
+
+    Order and ties are kept exactly, so pairwise comparisons of ranks equal
+    those of x while reading one or two bytes per cell instead of eight.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-        raise InputError("x and y must be vectors of equal length")
-    n = x.size
+    n, p = x.shape
+    order = np.argsort(x, axis=0)
+    xs = np.take_along_axis(x, order, axis=0)
+    new_value = np.empty((n, p), dtype=bool)
+    new_value[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=new_value[1:])
+    del xs
+    dtype = np.min_scalar_type(n)
+    ranks = np.empty((n, p), dtype=dtype)
+    np.put_along_axis(ranks, order, np.cumsum(new_value, axis=0, dtype=dtype), axis=0)
+    return ranks
+
+
+def kendall_scores(x: np.ndarray, y) -> np.ndarray:
+    """|tau_b| with tie correction of y with every column; all-tied x or y scores 0.
+
+    Algorithm: order the rows by y once (stable argsort) and let
+    ``first_above[i]`` be the first row whose y is strictly larger than row
+    i's. For each row i, compare rows ``first_above[i]:`` with row i over
+    all columns at once, with boolean ``>`` and ``<``: column sums give the
+    concordant and discordant pairs among those with a strictly larger y,
+    and the remaining pairs there are tied in x. Pairs tied in y are
+    compared with ``==`` for their x ties, and only when y has ties. The
+    columns enter as dense ranks (``_dense_ranks``), which compare exactly
+    like the values, never as a float difference or sign matrix.
+
+    Cost: O(n^2 p) comparisons in n vectorised steps, plus one column sort.
+    Extra memory is O(n p): the y-ordered ranks at one byte per cell up to
+    n = 255 (two up to 65535), plus the sort's temporaries for one block of
+    columns and one comparison mask.
+
+    Every pair count is an exact integer and the final float operations are
+    the same as in the pairwise definition, so the scores are bit-identical
+    to those of the former per-column merge-sort path, and to themselves
+    under any row permutation.
+    """
+    x = check_matrix(x)
+    n, p = x.shape
+    y = check_response(y, n)
     if n < 2:
         raise InputError("need at least two observations")
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
     total = n * (n - 1) // 2
-    ties_x = _tie_pair_count(xs)
-    ties_y = _tie_pair_count(np.sort(y))
-    both_change = np.flatnonzero((xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))
-    runs = np.diff(np.concatenate(([0], both_change + 1, [n])))
-    ties_both = int((runs * (runs - 1) // 2).sum())
-    _, discordant = _sorted_with_inversions(ys)
-    con_minus_dis = total - ties_x - ties_y + ties_both - 2 * discordant
-    denom = math.sqrt(float(total - ties_x) * float(total - ties_y))
-    if denom == 0.0:
-        return 0.0
-    return abs(con_minus_dis / denom)
+    ties_y = _tie_pair_count(ys)
+    if ties_y == total:
+        return np.zeros(p)
+    # rank in column blocks so the sort's temporaries stay small for wide p
+    xo = np.empty((n, p), dtype=np.min_scalar_type(n))
+    for c in range(0, p, _RANK_BLOCK):
+        xo[:, c:c + _RANK_BLOCK] = _dense_ranks(x[order, c:c + _RANK_BLOCK])
+    first_above = np.searchsorted(ys, ys, side="right")
+    count = xo.dtype  # per-row counts stay below n
+    greater = np.zeros(p, dtype=np.int64)
+    smaller = np.zeros(p, dtype=np.int64)
+    ties_x = np.zeros(p, dtype=np.int64)
+    pairs_above = 0
+    for i in range(n - 1):
+        lo = first_above[i]
+        if lo < n:
+            above = xo[lo:]
+            greater += np.sum(above > xo[i], axis=0, dtype=count)
+            smaller += np.sum(above < xo[i], axis=0, dtype=count)
+            pairs_above += n - lo
+        if lo > i + 1:
+            ties_x += np.sum(xo[i + 1:lo] == xo[i], axis=0, dtype=count)
+    ties_x += pairs_above - greater - smaller
+    denom = np.sqrt((total - ties_x).astype(np.float64) * float(total - ties_y))
+    out = np.zeros(p)
+    live = denom != 0.0
+    out[live] = np.abs((greater - smaller)[live] / denom[live])
+    return out
+
+
+def kendall_score(x, y) -> float:
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise InputError(f"expected a vector, got shape {arr.shape}")
+    return float(kendall_scores(arr[:, None], y)[0])
 
 
 def kendall_score_bruteforce(x, y) -> float:
-    """Pairwise O(n^2) concordance count; test oracle for kendall_score."""
+    """Pairwise O(n^2) concordance count; test oracle for kendall_scores."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.size
@@ -130,28 +171,18 @@ def kendall_score_bruteforce(x, y) -> float:
     return abs((concordant - discordant) / denom)
 
 
-def kendall_scores(x: np.ndarray, y) -> np.ndarray:
-    """|tau_b| of y with every column."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.array([kendall_score(x[:, j], y) for j in range(x.shape[1])])
-
-
 # -- Fused Kolmogorov filter -------------------------------------------------
 
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
                schemes=None) -> np.ndarray:
     """Per scheme, the largest Kolmogorov distance between any two per-slice
     conditional ECDFs of a column, summed over schemes."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"expected an n-by-p matrix, got shape {x.shape}")
+    x = check_matrix(x)
     n, p = x.shape
+    y = check_response(y, n)
     if schemes is None:
         schemes = default_schemes(n)
     labels_list = labels_for_schemes(y, kind, schemes)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
-    if bad.size:
-        raise InputError(f"column {bad[0]} contains non-finite entries")
 
     order = np.argsort(x, axis=0, kind="stable")
     xs = np.take_along_axis(x, order, axis=0)

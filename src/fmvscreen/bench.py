@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import fks_scores, kendall_scores, pearson_scores
-from .errors import InputError
+from .errors import DegenerateSlicesError, InputError
 from .screening import fmv_scores, rank_descending
 from .simulate import (
     ExperimentSpec,
@@ -73,16 +73,16 @@ def _fmv_scorer(ds, schemes):
     return fused, degenerate
 
 
-def _fks_scorer(ds, schemes):
-    scores = fks_scores(ds.x, ds.y, ds.kind, schemes)
+def _flag_all_zero(scores):
+    # an all-zero score vector ranks nothing (a constant response, say)
     return scores, bool(np.all(scores == 0.0))
 
 
 _SCORERS = {
     "fmv": _fmv_scorer,
     "sis": lambda ds, schemes: (pearson_scores(ds.x, ds.y), False),
-    "rcs": lambda ds, schemes: (kendall_scores(ds.x, ds.y), False),
-    "fks": _fks_scorer,
+    "rcs": lambda ds, schemes: _flag_all_zero(kendall_scores(ds.x, ds.y)),
+    "fks": lambda ds, schemes: _flag_all_zero(fks_scores(ds.x, ds.y, ds.kind, schemes)),
 }
 
 SCREENER_NAMES = tuple(sorted(_SCORERS))
@@ -92,8 +92,9 @@ def _score_one(name: str, instance, schemes) -> tuple[np.ndarray, bool]:
     ds = instance.dataset
     try:
         return _SCORERS[name](ds, schemes)
-    except ValueError:
-        # a pathological draw (e.g. zero-variance response) flags, never aborts
+    except (InputError, DegenerateSlicesError):
+        # a pathological draw (e.g. zero-variance response) flags, never
+        # aborts; any other error is a bug and must not read as a good MMS
         return np.zeros(ds.p), True
 
 

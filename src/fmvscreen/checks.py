@@ -1,0 +1,28 @@
+"""Input checks shared by every scorer, so each rejects bad data the same way."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import InputError
+
+
+def check_matrix(x) -> np.ndarray:
+    """``x`` as a float64 n-by-p matrix; rejects the first non-finite column."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise InputError(f"expected an n-by-p matrix, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if bad.size:
+        raise InputError(f"column {bad[0]} contains non-finite entries")
+    return x
+
+
+def check_response(y, n: int) -> np.ndarray:
+    """``y`` as a finite float64 vector matching the n rows of the predictors."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.size != n:
+        raise InputError(f"y must be a vector of length {n}, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise InputError("y contains non-finite entries")
+    return y

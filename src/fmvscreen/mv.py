@@ -15,20 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import check_matrix
 from .errors import InputError
 from .slicing import SliceLabels
 
 __all__ = ["mv_hat", "mv_hat_bruteforce", "mv_hat_columns", "mv_hat_columns_multi"]
-
-
-def _check_matrix(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"expected an n-by-p matrix, got shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
-    if bad.size:
-        raise InputError(f"column {bad[0]} contains non-finite entries")
-    return x
 
 
 def _check_labels(n: int, labels: SliceLabels) -> None:
@@ -46,7 +37,7 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
     permutation bit for bit. Entries of ``labels_list`` may be None
     (degenerate slicing), contributing a zero row.
     """
-    x = _check_matrix(x)
+    x = check_matrix(x)
     n, p = x.shape
     live = [lab for lab in labels_list if lab is not None]
     for lab in live:

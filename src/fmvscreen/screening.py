@@ -9,6 +9,7 @@ from enum import Enum
 
 import numpy as np
 
+from .checks import check_matrix, check_response
 from .errors import DegenerateSlicesError, InputError
 from .mv import mv_hat_columns_multi
 from .slicing import (
@@ -62,11 +63,8 @@ class Dataset:
             raise InputError(f"y has {y.size} entries but x has {n} rows")
         if n < 2 or p < 1:
             raise InputError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-        if not np.isfinite(y).all():
-            raise InputError("y contains non-finite entries")
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
-        if bad.size:
-            raise InputError(f"column {bad[0]} contains non-finite entries")
+        check_response(y, n)
+        check_matrix(x)
         if self.kind is ResponseKind.COUNT and (
             np.any(y < 0) or np.any(y != np.floor(y))
         ):

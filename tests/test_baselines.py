@@ -9,6 +9,7 @@ from fmvscreen import (
     build_quantile_slices,
     fks_score,
     fks_scores,
+    fmv_scores,
     kendall_score,
     kendall_scores,
     pearson_score,
@@ -62,6 +63,60 @@ def test_kendall_fast_path_equals_pairwise_oracle() -> None:
         assert kendall_score(x, y) == pytest.approx(
             kendall_score_bruteforce(x, y), abs=1e-14
         )
+    # matrix inputs: every column of the vectorised path against the oracle
+    for n, x, y in kendall_matrix_cases(rng):
+        scores = kendall_scores(x, y)
+        assert scores.shape == (x.shape[1],)
+        for j in range(x.shape[1]):
+            assert scores[j] == pytest.approx(
+                kendall_score_bruteforce(x[:, j], y), abs=1e-14
+            )
+
+
+def kendall_matrix_cases(rng):
+    """(n, x, y) with ties in x, in y, in both, count-valued and constant y."""
+    cases = []
+    for n in (2, 3, 7, 40, 120):
+        cont = rng.normal(size=(n, 6))
+        tied = np.round(cont, 0)
+        tied[:, 5] = 1.5  # a constant column
+        y_cont = rng.normal(size=n)
+        cases += [
+            (n, tied, y_cont),                                     # ties in x only
+            (n, cont, np.round(y_cont)),                           # ties in y only
+            (n, tied, np.round(y_cont)),                           # ties in both
+            (n, tied, rng.integers(0, 3, size=n).astype(float)),   # integer y
+            (n, cont, rng.poisson(1.0, size=n).astype(float)),     # count y
+            (n, tied, np.full(n, 4.0)),                            # constant y
+        ]
+    return cases
+
+
+def test_kendall_matrix_equals_scalar_path_exactly() -> None:
+    rng = np.random.default_rng(20)
+    for n, x, y in kendall_matrix_cases(rng):
+        scores = kendall_scores(x, y)
+        for j in range(x.shape[1]):
+            assert scores[j] == kendall_score(x[:, j], y)
+
+
+def test_kendall_bit_identical_under_row_permutation_with_tied_y() -> None:
+    rng = np.random.default_rng(21)
+    for n, x, y in kendall_matrix_cases(rng):
+        perm = rng.permutation(n)
+        assert np.array_equal(kendall_scores(x[perm], y[perm]), kendall_scores(x, y))
+
+
+def test_kendall_wide_matrix_across_column_blocks() -> None:
+    # columns are ranked in blocks; columns on either side of a block edge
+    # must score as they do alone
+    rng = np.random.default_rng(22)
+    x = np.round(rng.normal(size=(30, 600)), 1)
+    y = np.round(rng.normal(size=30), 1)
+    scores = kendall_scores(x, y)
+    for j in (0, 255, 256, 257, 511, 512, 599):
+        assert scores[j] == kendall_score(x[:, j], y)
+        assert scores[j] == pytest.approx(kendall_score_bruteforce(x[:, j], y), abs=1e-14)
 
 
 def test_kendall_all_ties_score_zero() -> None:
@@ -139,3 +194,30 @@ def test_matrix_helpers_match_scalar_paths() -> None:
                        [kendall_score(x[:, j], y) for j in range(4)])
     assert np.allclose(fks_scores(x, y, schemes=[3, 4]),
                        [fks_score(x[:, j], y, schemes=[3, 4]) for j in range(4)])
+
+
+SCORERS = {
+    "fmv": lambda x, y: fmv_scores(x, y, schemes=[3])[0],
+    "sis": pearson_scores,
+    "rcs": kendall_scores,
+    "fks": lambda x, y: fks_scores(x, y, schemes=[3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORERS))
+def test_scorers_reject_non_finite_predictor(name) -> None:
+    rng = np.random.default_rng(23)
+    y = rng.normal(size=20)
+    x = rng.normal(size=(20, 3))
+    x[4, 1] = np.nan
+    with pytest.raises(InputError, match="column 1"):
+        SCORERS[name](x, y)
+
+
+@pytest.mark.parametrize("name", sorted(SCORERS))
+def test_scorers_reject_non_finite_response(name) -> None:
+    rng = np.random.default_rng(24)
+    y = rng.normal(size=20)
+    y[7] = np.inf
+    with pytest.raises(InputError, match="non-finite"):
+        SCORERS[name](rng.normal(size=(20, 3)), y)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fmvscreen.bench
 from fmvscreen import (
     ExperimentSpec,
     InputError,
@@ -83,6 +84,25 @@ def test_degenerate_replication_flagged_not_fatal() -> None:
     out = run_replications(spec, ["fmv"], reps=1, base_seed=13)
     assert out[0].degenerate_reps == (0,)
     assert out[0].mms[0] >= 1
+
+
+def test_degenerate_replication_flagged_by_every_screener() -> None:
+    # the all-zero count response must never read as a perfect ranking
+    spec = ExperimentSpec("6", n=3, p=4)
+    out = run_replications(spec, ["fmv", "sis", "rcs", "fks"], reps=1, base_seed=13)
+    assert [s.screener for s in out] == ["fmv", "sis", "rcs", "fks"]
+    for summary in out:
+        assert summary.degenerate_reps == (0,), summary.screener
+
+
+def test_scorer_bug_propagates(monkeypatch) -> None:
+    # only data-degenerate errors are flagged; a plain ValueError is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("injected scorer bug")
+
+    monkeypatch.setattr(fmvscreen.bench, "pearson_scores", broken)
+    with pytest.raises(ValueError, match="injected scorer bug"):
+        run_replications(small_spec(), ["fmv", "sis"], reps=2, base_seed=0)
 
 
 def test_screeners_share_instances_within_replication() -> None:
