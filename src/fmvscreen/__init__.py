@@ -19,7 +19,6 @@ from .bench import (
     write_reports,
 )
 from .baselines import (
-    BaselineKind,
     fks_score,
     fks_scores,
     kendall_score,
@@ -27,9 +26,8 @@ from .baselines import (
     pearson_score,
     pearson_scores,
 )
-from .ecdf import EcdfTable, ecdf_at_samples, empirical_quantile
 from .errors import DegenerateSlicesError, InputError
-from .mv import mv_hat, mv_hat_bruteforce, mv_hat_columns
+from .mv import mv_hat, mv_hat_bruteforce
 from .screening import (
     Dataset,
     FmvScore,
@@ -52,24 +50,19 @@ from .simulate import (
 )
 from .slicing import (
     SliceLabels,
-    SliceMode,
-    SliceScheme,
     build_categorical_slices,
     build_discrete_slices,
     build_quantile_slices,
     default_schemes,
-    slices_from_cuts,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineKind",
     "CovarianceSpec",
     "Dataset",
     "DegenerateSlicesError",
     "EXPERIMENT_IDS",
-    "EcdfTable",
     "ExperimentSpec",
     "FmvScore",
     "GeneratedInstance",
@@ -78,8 +71,6 @@ __all__ = [
     "ResponseKind",
     "ScreeningResult",
     "SliceLabels",
-    "SliceMode",
-    "SliceScheme",
     "active_set",
     "build_categorical_slices",
     "build_discrete_slices",
@@ -87,8 +78,6 @@ __all__ = [
     "default_schemes",
     "default_selection_size",
     "derived_rng",
-    "ecdf_at_samples",
-    "empirical_quantile",
     "fks_score",
     "fks_scores",
     "fmv_hat",
@@ -99,7 +88,6 @@ __all__ = [
     "mms",
     "mv_hat",
     "mv_hat_bruteforce",
-    "mv_hat_columns",
     "parse_table_csv",
     "pearson_score",
     "pearson_scores",
@@ -108,6 +96,5 @@ __all__ = [
     "run_replications",
     "sample_mvn",
     "screen",
-    "slices_from_cuts",
     "write_reports",
 ]

@@ -4,17 +4,16 @@ fused Kolmogorov-distance filter built on the same slicing machinery."""
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from .checks import check_matrix, check_response
 from .errors import InputError
+from .mv import ranked_columns, slice_counts_at_runs
 from .screening import ResponseKind, labels_for_schemes
 from .slicing import default_schemes
 
 __all__ = [
-    "BaselineKind",
     "pearson_score",
     "pearson_scores",
     "kendall_score",
@@ -22,12 +21,6 @@ __all__ = [
     "fks_score",
     "fks_scores",
 ]
-
-
-class BaselineKind(Enum):
-    PEARSON_SIS = "sis"
-    KENDALL_RCS = "rcs"
-    FUSED_KOLMOGOROV = "fks"
 
 
 # -- Pearson ---------------------------------------------------------------
@@ -184,30 +177,30 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         schemes = default_schemes(n)
     labels_list = labels_for_schemes(y, kind, schemes)
 
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    rows = np.arange(n)[:, None]
-    is_run_end = np.empty((n, p), dtype=bool)
-    is_run_end[-1] = True
-    is_run_end[:-1] = xs[:-1] != xs[1:]
-    t = np.minimum.accumulate(np.where(is_run_end, rows, n)[::-1], axis=0)[::-1]
-
+    order, t = ranked_columns(x)
     out = np.zeros(p)
     for labels in labels_list:
-        if labels is None or labels.s_eff == 1:
-            continue
-        gs = labels.g[order]
-        cond = []
-        for s in range(1, labels.s_eff + 1):
-            cum = np.cumsum(gs == s, axis=0)
-            cond.append(np.take_along_axis(cum, t, axis=0) / labels.counts[s - 1])
-        best = np.zeros(p)
-        for a in range(len(cond)):
-            for b in range(a + 1, len(cond)):
-                gap = np.abs(cond[a] - cond[b]).max(axis=0)
-                best = np.maximum(best, gap)
-        out += best
+        if labels is not None and labels.s_eff > 1:
+            out += _widest_ecdf_gap(order, t, labels)
     return out
+
+
+def _widest_ecdf_gap(order, t, labels) -> np.ndarray:
+    """Per column, the largest gap between two slices' conditional ECDFs.
+
+    max over pairs of |F_a - F_b| equals fl(max_s F_s - min_s F_s), because
+    rounded subtraction is monotone in each argument, so two running arrays
+    replace the pairwise loop bit for bit.
+    """
+    cond = (cum / size for size, cum in
+            zip(labels.counts, slice_counts_at_runs(order, t, labels)))
+    hi = next(cond)
+    lo = hi.copy()
+    for f in cond:
+        np.maximum(hi, f, out=hi)
+        np.minimum(lo, f, out=lo)
+    hi -= lo
+    return hi.max(axis=0)
 
 
 def fks_score(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> float:

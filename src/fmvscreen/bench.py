@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import fks_scores, kendall_scores, pearson_scores
 from .errors import DegenerateSlicesError, InputError
-from .screening import fmv_scores, rank_descending
+from .screening import _resolve_threads, fmv_scores, rank_descending
 from .simulate import (
     ExperimentSpec,
     active_set,
@@ -221,13 +221,3 @@ def write_reports(summaries, out_dir) -> list[Path]:
     combined.write_text(render_table_csv(summaries), encoding="utf-8", newline="\n")
     written.append(combined)
     return written
-
-
-def _resolve_threads(threads: int) -> int:
-    if threads < 0:
-        raise InputError(f"threads must be nonnegative, got {threads}")
-    if threads == 0:
-        import os
-
-        return os.cpu_count() or 1
-    return threads

@@ -163,8 +163,12 @@ def cmd_screen(args) -> int:
     kind = ResponseKind(args.kind)
     schemes = _parse_schemes(args.schemes, x.shape[0])
     dataset = Dataset(y=y, x=x, kind=kind, names=tuple(names))
-    fused, per_scheme, _ = fmv_scores(dataset.x, dataset.y, kind, schemes,
-                                      threads=args.threads)
+    fused, per_scheme, degenerate = fmv_scores(dataset.x, dataset.y, kind, schemes,
+                                               threads=args.threads)
+    if degenerate:
+        # every score would be 0, and a ranking by column index reads as real
+        raise InputError(f"response {header[y_idx]!r} is degenerate: "
+                         "every slicing collapses to a single slice")
     order = rank_descending(fused)
     top = order if args.dn is None else order[: min(args.dn, len(order))]
 
@@ -221,6 +225,12 @@ def cmd_bench(args) -> int:
         spec = ExperimentSpec(id=case, seed=args.seed)
         summaries.extend(run_replications(spec, screeners, args.reps,
                                           base_seed=args.seed, threads=args.threads))
+    for s in summaries:
+        if s.degenerate_reps:
+            print(f"warning: {s.experiment}/{s.screener}: {len(s.degenerate_reps)} of "
+                  f"{s.replications} replications degenerate (scores all zero or "
+                  "unscorable); their MMS still counts in median, sd and se",
+                  file=sys.stderr)
     written = write_reports(summaries, args.out)
     print(render_table_text(summaries), end="")
     print(f"wrote {len(written)} report files to {args.out}")

@@ -19,12 +19,48 @@ from .checks import check_matrix
 from .errors import InputError
 from .slicing import SliceLabels
 
-__all__ = ["mv_hat", "mv_hat_bruteforce", "mv_hat_columns", "mv_hat_columns_multi"]
+__all__ = [
+    "mv_hat",
+    "mv_hat_bruteforce",
+    "mv_hat_columns_multi",
+    "ranked_columns",
+    "slice_counts_at_runs",
+]
 
 
 def _check_labels(n: int, labels: SliceLabels) -> None:
     if labels.n != n:
         raise InputError(f"labels cover {labels.n} observations, predictor has {n}")
+
+
+def ranked_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranked view of a checked n-by-p matrix shared by the MV kernel and fks.
+
+    Returns ``(order, t)``: ``order[:, j]`` sorts column j ascending and
+    ``t[i, j]`` is the sorted position of the last entry tied with the i-th
+    smallest, where the column's ECDF jumps. Callers read counts only at
+    ``t``, so the order within a tie run cannot change any result and the
+    default (unstable) sort serves.
+    """
+    n, p = x.shape
+    order = np.argsort(x, axis=0)
+    xs = np.take_along_axis(x, order, axis=0)
+    is_run_end = np.empty((n, p), dtype=bool)
+    is_run_end[-1] = True
+    np.not_equal(xs[:-1], xs[1:], out=is_run_end[:-1])
+    del xs
+    rows = np.arange(n)[:, None]
+    t = np.minimum.accumulate(np.where(is_run_end, rows, n)[::-1], axis=0)[::-1]
+    return order, t
+
+
+def slice_counts_at_runs(order: np.ndarray, t: np.ndarray, labels: SliceLabels):
+    """For each slice s = 1..s_eff, yield the n-by-p integer counts of slice-s
+    observations among each column's first ``t + 1`` sorted entries, so the
+    slice's conditional ECDF at the sample points is the count over its size."""
+    gs = labels.g[order]
+    for s in range(1, labels.s_eff + 1):
+        yield np.take_along_axis(np.cumsum(gs == s, axis=0), t, axis=0)
 
 
 def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
@@ -43,38 +79,22 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
     for lab in live:
         _check_labels(n, lab)
     out = np.zeros((len(labels_list), p))
-    if not any(lab is not None and lab.s_eff > 1 for lab in labels_list):
+    if not any(lab.s_eff > 1 for lab in live):
         return out
 
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-
-    # t[i] = index of the last entry tied with xs[i]; the ECDF jumps there
-    rows = np.arange(n)[:, None]
-    is_run_end = np.empty((n, p), dtype=bool)
-    is_run_end[-1] = True
-    is_run_end[:-1] = xs[:-1] != xs[1:]
-    t = np.minimum.accumulate(np.where(is_run_end, rows, n)[::-1], axis=0)[::-1]
-    fhat = (t + 1.0) / n
-    fhat_sq = fhat * fhat
-
+    order, t = ranked_columns(x)
+    fhat_sq = np.square((t + 1.0) / n)
     for k, labels in enumerate(labels_list):
         if labels is None or labels.s_eff == 1:
             continue
-        gs = labels.g[order]
-        counts = labels.counts.astype(np.float64)
         acc = np.zeros((n, p))
-        for s in range(1, labels.s_eff + 1):
-            cum = np.cumsum(gs == s, axis=0)
-            cum_at_eval = np.take_along_axis(cum, t, axis=0).astype(np.float64)
-            acc += cum_at_eval * cum_at_eval / (n * counts[s - 1])
-        out[k] = (acc - fhat_sq).sum(axis=0) / n
+        for size, cum in zip(labels.counts.astype(np.float64),
+                             slice_counts_at_runs(order, t, labels)):
+            cum = cum.astype(np.float64)
+            acc += cum * cum / (n * size)
+        acc -= fhat_sq
+        out[k] = acc.sum(axis=0) / n
     return out
-
-
-def mv_hat_columns(x: np.ndarray, labels: SliceLabels) -> np.ndarray:
-    """The statistic for every column of an n-by-p matrix under one slicing."""
-    return mv_hat_columns_multi(x, [labels])[0]
 
 
 def mv_hat(x, labels: SliceLabels) -> float:

@@ -52,19 +52,13 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        x = np.asarray(self.x, dtype=np.float64)
+        x = check_matrix(self.x)
+        n, p = x.shape
+        y = check_response(self.y, n)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        if y.ndim != 1 or x.ndim != 2:
-            raise InputError("y must be a vector and x an n-by-p matrix")
-        n, p = x.shape
-        if y.size != n:
-            raise InputError(f"y has {y.size} entries but x has {n} rows")
         if n < 2 or p < 1:
             raise InputError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-        check_response(y, n)
-        check_matrix(x)
         if self.kind is ResponseKind.COUNT and (
             np.any(y < 0) or np.any(y != np.floor(y))
         ):
@@ -133,7 +127,7 @@ def labels_for_schemes(y, kind: ResponseKind, schemes) -> list[SliceLabels | Non
                 labels = build_discrete_slices(y, s)
                 out.append(labels if labels.s_eff > 1 else None)
             else:
-                out.append(build_quantile_slices(y, s)[1])
+                out.append(build_quantile_slices(y, s))
         except DegenerateSlicesError:
             out.append(None)
     return out

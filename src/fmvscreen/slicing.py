@@ -11,46 +11,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .checks import check_response
 from .errors import DegenerateSlicesError, InputError
 
 __all__ = [
-    "SliceMode",
-    "SliceScheme",
     "SliceLabels",
     "build_quantile_slices",
     "build_discrete_slices",
     "build_categorical_slices",
-    "slices_from_cuts",
     "default_schemes",
 ]
-
-
-class SliceMode(Enum):
-    QUANTILE_CONTINUOUS = "quantile_continuous"
-    DISCRETE_CAPPED = "discrete_capped"
-    CATEGORICAL_IDENTITY = "categorical_identity"
-
-
-@dataclass(frozen=True)
-class SliceScheme:
-    """Requested slice count plus the realized interval boundaries.
-
-    Boundaries are strictly increasing with -inf/+inf sentinels at the ends;
-    slice g covers [boundaries[g-1], boundaries[g]), with the last slice
-    closed on the right so the sample maximum is never orphaned.
-    """
-
-    requested: int
-    boundaries: np.ndarray
-    mode: SliceMode
-
-    @property
-    def s_eff(self) -> int:
-        return len(self.boundaries) - 1
 
 
 @dataclass(frozen=True)
@@ -73,36 +46,26 @@ class SliceLabels:
         return self.counts / self.n
 
 
-def _labels_from_raw(raw: np.ndarray) -> tuple[np.ndarray, SliceLabels]:
-    """Compact raw 0-based slice ids so empty slices disappear.
+def _labels_from_raw(raw: np.ndarray) -> SliceLabels:
+    """Compact raw slice ids so empty slices disappear.
 
-    Returns the occupied raw ids (ascending) and the relabeled 1..s_eff
-    assignment; every surviving slice is nonempty by construction.
+    Returns the relabeled 1..s_eff assignment, ordered like the raw ids;
+    every surviving slice is nonempty by construction.
     """
     occupied, inverse = np.unique(raw, return_inverse=True)
     g = (inverse + 1).astype(np.int64)
     counts = np.bincount(inverse, minlength=len(occupied)).astype(np.int64)
-    return occupied, SliceLabels(g=g, counts=counts)
+    return SliceLabels(g=g, counts=counts)
 
 
 def _finite_response(y) -> np.ndarray:
     arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.size == 0:
         raise InputError("response must be a nonempty one-dimensional vector")
-    if not np.isfinite(arr).all():
-        raise InputError("response contains non-finite entries")
-    return arr
+    return check_response(arr, arr.size)
 
 
-def _assemble(cuts: np.ndarray, occupied: np.ndarray, requested: int,
-              mode: SliceMode) -> SliceScheme:
-    # a cut survives only if it still separates two occupied slices
-    kept = [cuts[hi - 1] for hi in occupied[1:]]
-    boundaries = np.concatenate(([-np.inf], np.asarray(kept, dtype=np.float64), [np.inf]))
-    return SliceScheme(requested=requested, boundaries=boundaries, mode=mode)
-
-
-def build_quantile_slices(y, s: int) -> tuple[SliceScheme, SliceLabels]:
+def build_quantile_slices(y, s: int) -> SliceLabels:
     """Split a continuous response at its g/s sample quantiles, g = 1..s-1.
 
     The cut for g/s sits after the first floor(n*g/s) order statistics, which
@@ -119,33 +82,12 @@ def build_quantile_slices(y, s: int) -> tuple[SliceScheme, SliceLabels]:
     ys = np.sort(arr)
     cuts = np.unique(ys[[(n * g) // s for g in range(1, s)]])
     raw = np.searchsorted(cuts, arr, side="right")
-    occupied, labels = _labels_from_raw(raw)
+    labels = _labels_from_raw(raw)
     if labels.s_eff < 2:
         raise DegenerateSlicesError(
             "response admits no two-slice quantile partition (all values tied)"
         )
-    scheme = _assemble(cuts, occupied, s, SliceMode.QUANTILE_CONTINUOUS)
-    return scheme, labels
-
-
-def slices_from_cuts(y, cuts) -> tuple[SliceScheme, SliceLabels]:
-    """Label observations against externally supplied cut points.
-
-    Test hook for slicing with the true quantile function of a known
-    generator instead of sample quantiles; empty slices are merged away
-    exactly as in :func:`build_quantile_slices`.
-    """
-    arr = _finite_response(y)
-    cut_arr = np.unique(np.asarray(cuts, dtype=np.float64))
-    if cut_arr.size and not np.isfinite(cut_arr).all():
-        raise InputError("cut points must be finite")
-    raw = np.searchsorted(cut_arr, arr, side="right")
-    occupied, labels = _labels_from_raw(raw)
-    if labels.s_eff < 2:
-        raise DegenerateSlicesError("cut points leave fewer than two nonempty slices")
-    scheme = _assemble(cut_arr, occupied, cut_arr.size + 1,
-                       SliceMode.QUANTILE_CONTINUOUS)
-    return scheme, labels
+    return labels
 
 
 def build_discrete_slices(y, s: int) -> SliceLabels:
@@ -161,8 +103,7 @@ def build_discrete_slices(y, s: int) -> SliceLabels:
         raise InputError("count response must be nonnegative integer-valued")
     counts_y = arr.astype(np.int64)
     raw = np.where(counts_y < s - 1, counts_y + 1, s)
-    _, labels = _labels_from_raw(raw)
-    return labels
+    return _labels_from_raw(raw)
 
 
 def build_categorical_slices(y) -> SliceLabels:
@@ -172,7 +113,7 @@ def build_categorical_slices(y) -> SliceLabels:
         raise InputError("response must be a nonempty one-dimensional vector")
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise InputError("response contains non-finite entries")
-    _, labels = _labels_from_raw(arr)
+    labels = _labels_from_raw(arr)
     if labels.s_eff < 2:
         raise DegenerateSlicesError("categorical response has a single distinct label")
     return labels

@@ -113,7 +113,7 @@ def test_oracle_equivalence_thousand_instances() -> None:
 
 def test_hand_example_median_split() -> None:
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    _, labels = build_quantile_slices(x, 2)
+    labels = build_quantile_slices(x, 2)
     oracle = mv_hat_bruteforce(x, labels)
     fast = mv_hat(x, labels)
     ok = oracle == 0.09375 and fast == 0.09375

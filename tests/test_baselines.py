@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from fmvscreen import (
     pearson_scores,
 )
 from fmvscreen.baselines import kendall_score_bruteforce
+from fmvscreen.screening import labels_for_schemes
 
 
 def test_pearson_perfect_and_anticorrelated() -> None:
@@ -135,9 +138,43 @@ def test_fks_median_split_hand_value() -> None:
     # 0.5, 1.0, 0.5, 0.0, so the statistic for the single 2-slice scheme is 1
     x = np.array([1.0, 2.0, 3.0, 4.0])
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    _, labels = build_quantile_slices(y, 2)
+    labels = build_quantile_slices(y, 2)
     assert np.array_equal(labels.g, [1, 1, 2, 2])
     assert fks_score(x, y, schemes=[2]) == 1.0
+
+
+def fks_oracle(col, labels_list) -> float:
+    """Per scheme, the largest gap between any two slices' conditional ECDFs
+    over the sample points, summed over schemes; pairwise, no sorting."""
+    total = 0.0
+    for lab in labels_list:
+        if lab is None:
+            continue
+        ecdfs = [np.array([np.mean(col[lab.g == s] <= v) for v in col])
+                 for s in range(1, lab.s_eff + 1)]
+        total += max(float(np.abs(a - b).max())
+                     for a, b in itertools.combinations(ecdfs, 2))
+    return total
+
+
+def test_fks_equals_pairwise_oracle() -> None:
+    rng = np.random.default_rng(25)
+    schemes = [2, 3, 4, 5]
+    for n in (5, 6, 13, 40, 97):
+        x = rng.normal(size=(n, 5))
+        x[:, 1] = np.round(x[:, 1], 1)
+        x[:, 2] = np.round(x[:, 2])
+        x[:, 3] = 2.5  # a constant column
+        x[:, 4] = x[:, 0] + np.round(rng.normal(size=n), 1)
+        y_cont = x[:, 0] + rng.normal(size=n)
+        for y, kind in ((y_cont, ResponseKind.CONTINUOUS),
+                        (np.round(y_cont, 1), ResponseKind.CONTINUOUS),
+                        (rng.poisson(2.0, size=n).astype(float), ResponseKind.COUNT)):
+            scores = fks_scores(x, y, kind, schemes)
+            labels_list = labels_for_schemes(y, kind, schemes)
+            assert scores[3] == 0.0
+            for j in range(x.shape[1]):
+                assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
 
 
 def test_fks_single_slice_zero() -> None:
@@ -182,6 +219,14 @@ def test_scores_invariant_under_row_permutation() -> None:
     assert pearson_score(x[perm], y[perm]) == pytest.approx(pearson_score(x, y))
     assert kendall_score(x[perm], y[perm]) == kendall_score(x, y)
     assert fks_score(x[perm], y[perm], schemes=[3]) == fks_score(x, y, schemes=[3])
+    # rounded to one decimal, every column has tie runs the column sort may
+    # order differently; the rank-based scores must not notice
+    xm = np.round(y[:, None] + rng.standard_normal((70, 8)), 1)
+    assert np.array_equal(fks_scores(xm[perm], y[perm], schemes=[3, 4]),
+                          fks_scores(xm, y, schemes=[3, 4]))
+    assert np.array_equal(fmv_scores(xm[perm], y[perm], schemes=[3, 4])[1],
+                          fmv_scores(xm, y, schemes=[3, 4])[1])
+    assert np.array_equal(kendall_scores(xm[perm], y[perm]), kendall_scores(xm, y))
 
 
 def test_matrix_helpers_match_scalar_paths() -> None:

@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from fmvscreen import ExperimentSpec, gen_experiment, mms, screen
+import fmvscreen.cli
+from fmvscreen import (
+    ExperimentSpec,
+    gen_experiment,
+    mms,
+    render_table_csv,
+    run_replications,
+    screen,
+)
 from fmvscreen.cli import main
 
 
@@ -118,6 +126,22 @@ def test_screen_drops_rows_with_missing_cells(tmp_path, capsys) -> None:
     assert "dropped 2 rows" in capsys.readouterr().err
 
 
+def test_screen_rejects_degenerate_response(tmp_path, capsys) -> None:
+    # a constant response leaves every slicing with one slice, so every score
+    # is 0; the ranking would only restate the column order
+    data = tmp_path / "flat.csv"
+    rows = ["resp,a,b"] + [f"0.0,{i}.5,{i % 4}.25" for i in range(30)]
+    data.write_text("\n".join(rows) + "\n")
+    ranked = tmp_path / "ranked.csv"
+    for kind in ("continuous", "count", "categorical"):
+        rc = main(["screen", "--input", str(data), "--response", "resp",
+                   "--kind", kind, "--schemes", "3", "--out", str(ranked)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "degenerate" in err
+        assert not ranked.exists()
+
+
 def test_screen_names_non_numeric_column(tmp_path, capsys) -> None:
     data = tmp_path / "bad.csv"
     data.write_text("resp,a,b\n1.0,red,2.0\n2.0,blue,3.0\n")
@@ -161,3 +185,21 @@ def test_bench_cli_rejects_unknown_screener(tmp_path, capsys) -> None:
     rc = main(["bench", "--cases", "1a", "--screeners", "magic",
                "--reps", "1", "--out", str(tmp_path / "r")])
     assert rc == 2
+
+
+def test_bench_cli_warns_on_degenerate_replications(tmp_path, capsys, monkeypatch) -> None:
+    # base seed 13 at n=3 draws an all-zero count response in replication 0
+    monkeypatch.setattr(fmvscreen.cli, "ExperimentSpec",
+                        lambda id, seed: ExperimentSpec(id, n=3, p=4, seed=seed))
+    out_dir = tmp_path / "reports"
+    assert main(["bench", "--cases", "6", "--screeners", "fmv,sis", "--reps", "1",
+                 "--seed", "13", "--out", str(out_dir)]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning:")]
+    assert len(warnings) == 2
+    assert "6/fmv: 1 of 1 replications degenerate" in warnings[0]
+    assert "6/sis: 1 of 1 replications degenerate" in warnings[1]
+    # the flag goes to stderr only; the report is what run_replications renders
+    spec = ExperimentSpec("6", n=3, p=4)
+    expected = render_table_csv(run_replications(spec, ["fmv", "sis"], 1, base_seed=13))
+    assert (out_dir / "table1.csv").read_text() == expected

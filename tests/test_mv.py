@@ -9,8 +9,8 @@ from fmvscreen import (
     build_quantile_slices,
     mv_hat,
     mv_hat_bruteforce,
-    mv_hat_columns,
 )
+from fmvscreen.mv import mv_hat_columns_multi, ranked_columns, slice_counts_at_runs
 from fmvscreen.slicing import SliceLabels
 
 
@@ -30,7 +30,7 @@ def test_two_point_hand_evaluation() -> None:
 def test_median_split_hand_example() -> None:
     # oracle first: per-i inner sums 0.0625, 0.25, 0.0625, 0 -> 0.09375
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    _, labels = build_quantile_slices(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+    labels = build_quantile_slices(np.array([1.0, 2.0, 3.0, 4.0]), 2)
     assert np.array_equal(labels.g, [1, 1, 2, 2])
     assert mv_hat_bruteforce(x, labels) == 0.09375
     assert mv_hat(x, labels) == 0.09375
@@ -84,11 +84,33 @@ def test_matrix_path_matches_columnwise_oracle() -> None:
     x = rng.normal(size=(n, p))
     x[:, 2] = np.round(x[:, 2], 1)
     x[:, 5] = 1.25  # constant column
-    _, labels = build_quantile_slices(rng.normal(size=n), 3)
-    cols = mv_hat_columns(x, labels)
+    labels = build_quantile_slices(rng.normal(size=n), 3)
+    cols = mv_hat_columns_multi(x, [labels])[0]
     for j in range(p):
         assert abs(cols[j] - mv_hat_bruteforce(x[:, j], labels)) <= 1e-12
     assert cols[5] == 0.0
+
+
+def test_ranked_columns_give_ecdfs_at_sample_points() -> None:
+    # the core shared with fks: t + 1 counts the entries <= each sorted
+    # entry, and each slice's counts at t do the same within the slice
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 9, 50):
+        x = rng.normal(size=(n, 4))
+        x[:, 1] = np.round(x[:, 1], 1)
+        x[:, 2] = np.round(x[:, 2])
+        x[:, 3] = rng.choice([-0.0, 0.0], size=n)  # one tie run of signed zeros
+        labels = make_labels(rng.permutation(np.arange(n) % 3) + 1)
+        order, t = ranked_columns(x)
+        counts = list(slice_counts_at_runs(order, t, labels))
+        assert len(counts) == labels.s_eff
+        for j in range(x.shape[1]):
+            xs = x[order[:, j], j]
+            assert np.all(np.diff(xs) >= 0)
+            leq = x[:, j][None, :] <= xs[:, None]  # leq[i, k] = I(x_k <= xs_i)
+            assert np.array_equal(t[:, j] + 1, leq.sum(axis=1))
+            for s, cum in enumerate(counts, start=1):
+                assert np.array_equal(cum[:, j], (leq & (labels.g == s)).sum(axis=1))
 
 
 def test_input_errors() -> None:

@@ -107,10 +107,12 @@ def test_row_permutation_is_bit_identical() -> None:
     y = np.round(rng.standard_normal(80), 1)  # ties included
     x = rng.standard_normal((80, 6))
     x[:, 3] = np.round(x[:, 3], 1)
-    base, _, _ = fmv_scores(x, y, schemes=[3, 4])
     perm = rng.permutation(80)
-    shuffled, _, _ = fmv_scores(x[perm], y[perm], schemes=[3, 4])
-    assert np.array_equal(base, shuffled)
+    for xm in (x, np.round(x, 1)):  # the rounded matrix has ties in every column
+        base, base_per_scheme, _ = fmv_scores(xm, y, schemes=[3, 4])
+        shuffled, shuffled_per_scheme, _ = fmv_scores(xm[perm], y[perm], schemes=[3, 4])
+        assert np.array_equal(base, shuffled)
+        assert np.array_equal(base_per_scheme, shuffled_per_scheme)
 
 
 def test_screen_deterministic_and_thread_invariant() -> None:

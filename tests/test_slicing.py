@@ -10,7 +10,6 @@ from fmvscreen import (
     build_discrete_slices,
     build_quantile_slices,
     default_schemes,
-    slices_from_cuts,
 )
 
 
@@ -28,18 +27,17 @@ def sorted_block_labels(y, s):
 
 def test_quantile_three_slices_balanced() -> None:
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    scheme, labels = build_quantile_slices(y, 3)
+    labels = build_quantile_slices(y, 3)
     assert np.array_equal(labels.g, [1, 1, 2, 2, 3, 3])
     assert np.array_equal(labels.g, sorted_block_labels(y, 3))
     assert labels.s_eff == 3
-    assert np.array_equal(scheme.boundaries, [-np.inf, 3.0, 5.0, np.inf])
 
 
 def test_quantile_median_split_sizes() -> None:
     rng = np.random.default_rng(0)
     for n in (4, 5, 9, 20, 31):
         y = rng.permutation(np.arange(n, dtype=float))
-        _, labels = build_quantile_slices(y, 2)
+        labels = build_quantile_slices(y, 2)
         assert sorted(labels.counts, reverse=True) == [-(-n // 2), n // 2]
         assert np.array_equal(labels.g, sorted_block_labels(y, 2))
 
@@ -50,16 +48,15 @@ def test_quantile_random_tie_free_matches_block_reference() -> None:
         n = int(rng.integers(6, 60))
         s = int(rng.integers(2, min(8, n) + 1))
         y = rng.normal(size=n)
-        _, labels = build_quantile_slices(y, s)
+        labels = build_quantile_slices(y, s)
         assert np.array_equal(labels.g, sorted_block_labels(y, s))
 
 
 def test_quantile_duplicate_cuts_merge() -> None:
     y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
-    scheme, labels = build_quantile_slices(y, 3)
+    labels = build_quantile_slices(y, 3)
     assert labels.s_eff == 2
     assert np.array_equal(labels.g, [1, 1, 1, 1, 2, 2])
-    assert scheme.s_eff == 2
 
 
 def test_quantile_label_interval_consistency() -> None:
@@ -68,13 +65,15 @@ def test_quantile_label_interval_consistency() -> None:
         n = int(rng.integers(6, 50))
         y = np.round(rng.normal(size=n), 1)
         try:
-            scheme, labels = build_quantile_slices(y, 4)
+            labels = build_quantile_slices(y, 4)
         except DegenerateSlicesError:
             continue
-        cuts = scheme.boundaries[1:-1]
-        assert np.all(np.diff(scheme.boundaries) > 0)
-        recomputed = np.searchsorted(cuts, y, side="right") + 1
-        assert np.array_equal(recomputed, labels.g)
+        # slices are intervals of y: labels never decrease along sorted y,
+        # and tied responses share a slice
+        order = np.argsort(y)
+        step = np.diff(labels.g[order])
+        assert np.all(step >= 0)
+        assert np.all(step[np.diff(y[order]) == 0] == 0)
         assert labels.counts.min() >= 1
         assert labels.counts.sum() == n
 
@@ -121,23 +120,6 @@ def test_categorical_slices() -> None:
 def test_categorical_single_label_degenerate() -> None:
     with pytest.raises(DegenerateSlicesError):
         build_categorical_slices(np.array(["a", "a", "a"]))
-
-
-def test_slices_from_cuts_known_quantile_function() -> None:
-    # standard-uniform population: true tertile cuts at 1/3 and 2/3
-    rng = np.random.default_rng(9)
-    y = rng.random(300)
-    scheme, labels = slices_from_cuts(y, [1 / 3, 2 / 3])
-    assert labels.s_eff == 3
-    assert np.array_equal(labels.g, np.searchsorted([1 / 3, 2 / 3], y, side="right") + 1)
-    assert scheme.boundaries[0] == -np.inf and scheme.boundaries[-1] == np.inf
-
-
-def test_slices_from_cuts_drops_empty_slices() -> None:
-    _, labels = slices_from_cuts([1.0, 2.0, 3.0], [-5.0, 2.0])
-    assert labels.s_eff == 2
-    with pytest.raises(DegenerateSlicesError):
-        slices_from_cuts([1.0, 2.0], [10.0])
 
 
 def test_default_schemes() -> None:
