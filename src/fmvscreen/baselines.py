@@ -9,7 +9,7 @@ import numpy as np
 
 from .checks import check_matrix, check_response
 from .errors import InputError
-from .mv import ranked_columns, slice_counts_at_runs
+from .mv import ranked_columns, sorted_labels
 from .screening import ResponseKind, labels_for_schemes
 from .slicing import default_schemes
 
@@ -169,7 +169,11 @@ def kendall_score_bruteforce(x, y) -> float:
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
                schemes=None) -> np.ndarray:
     """Per scheme, the largest Kolmogorov distance between any two per-slice
-    conditional ECDFs of a column, summed over schemes."""
+    conditional ECDFs of a column, summed over schemes.
+
+    Cost: one column sort shared by all schemes, then O(p * n) per slice, so
+    O(p * (n log n + n * sum s_eff)).
+    """
     x = check_matrix(x)
     n, p = x.shape
     y = check_response(y, n)
@@ -177,30 +181,35 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         schemes = default_schemes(n)
     labels_list = labels_for_schemes(y, kind, schemes)
 
-    order, t = ranked_columns(x)
+    ranked = ranked_columns(x)
+    # on tied columns only a tie run's last position holds the ECDF there
+    inside_run = ranked.end != np.arange(n)
     out = np.zeros(p)
     for labels in labels_list:
         if labels is not None and labels.s_eff > 1:
-            out += _widest_ecdf_gap(order, t, labels)
+            gap = _widest_ecdf_gap(sorted_labels(ranked, labels), labels.counts)
+            gap[ranked.tied] = np.where(inside_run, 0.0, gap[ranked.tied])
+            out += gap.max(axis=1)
     return out
 
 
-def _widest_ecdf_gap(order, t, labels) -> np.ndarray:
-    """Per column, the largest gap between two slices' conditional ECDFs.
+def _widest_ecdf_gap(gs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """At each sorted position, the largest gap between two slices' ECDFs.
 
     max over pairs of |F_a - F_b| equals fl(max_s F_s - min_s F_s), because
     rounded subtraction is monotone in each argument, so two running arrays
     replace the pairwise loop bit for bit.
     """
-    cond = (cum / size for size, cum in
-            zip(labels.counts, slice_counts_at_runs(order, t, labels)))
-    hi = next(cond)
-    lo = hi.copy()
-    for f in cond:
+    count = np.min_scalar_type(gs.shape[1])
+    hi = np.zeros(gs.shape)  # every ECDF value lies in [0, 1]
+    lo = np.ones(gs.shape)
+    f = np.empty(gs.shape)
+    for s, size in enumerate(sizes, start=1):
+        np.divide(np.cumsum(gs == s, axis=1, dtype=count), size, out=f)
         np.maximum(hi, f, out=hi)
         np.minimum(lo, f, out=lo)
     hi -= lo
-    return hi.max(axis=0)
+    return hi
 
 
 def fks_score(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> float:

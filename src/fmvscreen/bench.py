@@ -157,7 +157,7 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     return out
 
 
-_CSV_HEADER = "experiment,screener,n_active,replications,median,sd,se"
+_CSV_HEADER = "experiment,screener,n_active,replications,median,sd,se,degenerate"
 
 
 def _sorted_rows(summaries) -> list[MmsSummary]:
@@ -165,14 +165,18 @@ def _sorted_rows(summaries) -> list[MmsSummary]:
 
 
 def render_table_csv(summaries) -> str:
-    """Deterministic CSV rendering, keyed and sorted by (experiment, screener)."""
+    """Deterministic CSV rendering, keyed and sorted by (experiment, screener).
+
+    ``degenerate`` counts the flagged replications, whose MMS still enters
+    ``median``, ``sd`` and ``se``.
+    """
     if not summaries:
         raise InputError("no summaries to render")
     lines = [_CSV_HEADER]
     for s in _sorted_rows(summaries):
         lines.append(
             f"{s.experiment},{s.screener},{s.n_active},{s.replications},"
-            f"{s.median!r},{s.sd!r},{s.se!r}"
+            f"{s.median!r},{s.sd!r},{s.se!r},{len(s.degenerate_reps)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -184,7 +188,7 @@ def parse_table_csv(text: str) -> list[dict]:
         raise InputError("unrecognized report header")
     rows = []
     for ln in lines[1:]:
-        experiment, screener, n_active, reps, median, sd, se = ln.split(",")
+        experiment, screener, n_active, reps, median, sd, se, degenerate = ln.split(",")
         rows.append({
             "experiment": experiment,
             "screener": screener,
@@ -193,16 +197,18 @@ def parse_table_csv(text: str) -> list[dict]:
             "median": float(median),
             "sd": float(sd),
             "se": float(se),
+            "degenerate": int(degenerate),
         })
     return rows
 
 
 def render_table_text(summaries) -> str:
     """Aligned human-readable rendering of the same rows as the CSV."""
-    rows = [("experiment", "screener", "N#", "reps", "median", "sd", "se")]
+    rows = [("experiment", "screener", "N#", "reps", "median", "sd", "se", "degenerate")]
     for s in _sorted_rows(summaries):
         rows.append((s.experiment, s.screener, str(s.n_active), str(s.replications),
-                     f"{s.median:g}", f"{s.sd:.4g}", f"{s.se:.4g}"))
+                     f"{s.median:g}", f"{s.sd:.4g}", f"{s.se:.4g}",
+                     str(len(s.degenerate_reps))))
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
     return "\n".join(lines) + "\n"

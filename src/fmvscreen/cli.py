@@ -90,21 +90,37 @@ def _read_csv_columns(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _to_float_matrix(header: list[str], rows: list[str]) -> tuple[np.ndarray, int]:
-    """Parse cells to floats; missing tokens become NaN rows that are dropped."""
+    """Parse cells to floats; missing tokens become NaN rows that are dropped.
+
+    A row converts in one call unless it holds a missing token or a bad
+    cell; only such rows are read cell by cell. The error names the first
+    bad cell in column-major order.
+    """
     n, p = len(rows), len(header)
     mat = np.empty((n, p))
-    for j, name in enumerate(header):
-        for i, row in enumerate(rows):
-            cell = row[j].strip()
+    first_bad = None  # (column, row, cell) of the bad cell to report
+    for i, row in enumerate(rows):
+        try:
+            mat[i] = np.fromiter(map(float, row), dtype=np.float64, count=p)
+            continue
+        except ValueError:
+            pass
+        for j, cell in enumerate(row):
+            cell = cell.strip()
             if cell.lower() in _MISSING_TOKENS:
                 mat[i, j] = np.nan
                 continue
             try:
                 mat[i, j] = float(cell)
             except ValueError:
-                raise InputError(
-                    f"column {name!r} has non-numeric value {cell!r} in row {i + 2}"
-                ) from None
+                if first_bad is None or j < first_bad[0]:
+                    first_bad = (j, i, cell)
+                break
+    if first_bad is not None:
+        j, i, cell = first_bad
+        raise InputError(
+            f"column {header[j]!r} has non-numeric value {cell!r} in row {i + 2}"
+        )
     keep = ~np.isnan(mat).any(axis=1)
     return mat[keep], int(n - keep.sum())
 

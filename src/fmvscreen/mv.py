@@ -9,9 +9,17 @@ where F is the sample ECDF of x, F_g the conditional ECDF within slice g, and
 p_g the empirical slice proportion. It lies in [0, 1] and is 0 exactly when
 every conditional ECDF agrees with the unconditional one at every sample
 point (constant predictors and single-slice partitions included).
+
+The fast kernel reads each slice's ECDF only through exact integer sums over
+a shared ranked view of the columns (``ranked_columns``):
+sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
+``mv_hat_columns_multi``. It costs O(p * (n log n + n * schemes)); the fks
+baseline on the same view keeps per-slice counts, O(p * n * sum s_eff).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +28,12 @@ from .errors import InputError
 from .slicing import SliceLabels
 
 __all__ = [
+    "RankedColumns",
     "mv_hat",
     "mv_hat_bruteforce",
     "mv_hat_columns_multi",
     "ranked_columns",
-    "slice_counts_at_runs",
+    "sorted_labels",
 ]
 
 
@@ -33,45 +42,85 @@ def _check_labels(n: int, labels: SliceLabels) -> None:
         raise InputError(f"labels cover {labels.n} observations, predictor has {n}")
 
 
-def ranked_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class RankedColumns(NamedTuple):
+    """The ranked view of an n-by-p matrix, one row per column of x.
+
+    ``order[j]`` sorts column j ascending. Only the columns in ``tied`` hold
+    repeated values; for them ``start[k]`` and ``end[k]`` give, at every
+    sorted position of column ``tied[k]``, the first and last sorted position
+    of its tie run, in the smallest unsigned dtype that holds n. In a
+    tie-free column both would be the position itself.
+    """
+
+    order: np.ndarray
+    tied: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+
+def ranked_columns(x: np.ndarray) -> RankedColumns:
     """The ranked view of a checked n-by-p matrix shared by the MV kernel and fks.
 
-    Returns ``(order, t)``: ``order[:, j]`` sorts column j ascending and
-    ``t[i, j]`` is the sorted position of the last entry tied with the i-th
-    smallest, where the column's ECDF jumps. Callers read counts only at
-    ``t``, so the order within a tie run cannot change any result and the
-    default (unstable) sort serves.
+    The columns are copied once into a contiguous (p, n) array and sorted
+    along its rows. Callers read ECDFs only at tie-run ends, so the order
+    within a tie run cannot change any result and the default (unstable)
+    sort serves.
     """
-    n, p = x.shape
-    order = np.argsort(x, axis=0)
-    xs = np.take_along_axis(x, order, axis=0)
-    is_run_end = np.empty((n, p), dtype=bool)
-    is_run_end[-1] = True
-    np.not_equal(xs[:-1], xs[1:], out=is_run_end[:-1])
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1)
+    xs = np.take_along_axis(xt, order, axis=1)
+    del xt
+    same = xs[:, 1:] == xs[:, :-1]
     del xs
-    rows = np.arange(n)[:, None]
-    t = np.minimum.accumulate(np.where(is_run_end, rows, n)[::-1], axis=0)[::-1]
-    return order, t
+    tied = np.flatnonzero(same.any(axis=1))
+    same = same[tied]
+    pos = np.arange(n, dtype=np.min_scalar_type(n))
+    starts_run = np.ones((tied.size, n), dtype=bool)
+    np.logical_not(same, out=starts_run[:, 1:])
+    ends_run = np.ones((tied.size, n), dtype=bool)
+    np.logical_not(same, out=ends_run[:, :-1])
+    start = np.maximum.accumulate(np.where(starts_run, pos, 0), axis=1)
+    end = np.minimum.accumulate(np.where(ends_run, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    return RankedColumns(order, tied, start, end)
 
 
-def slice_counts_at_runs(order: np.ndarray, t: np.ndarray, labels: SliceLabels):
-    """For each slice s = 1..s_eff, yield the n-by-p integer counts of slice-s
-    observations among each column's first ``t + 1`` sorted entries, so the
-    slice's conditional ECDF at the sample points is the count over its size."""
-    gs = labels.g[order]
-    for s in range(1, labels.s_eff + 1):
-        yield np.take_along_axis(np.cumsum(gs == s, axis=0), t, axis=0)
+def _exact_int(n: int):
+    """The dtype for the kernel's integer sums, each at most n**3: int64 while
+    that fits, else Python ints, so the sums stay exact at any n."""
+    return np.int64 if n ** 3 <= np.iinfo(np.int64).max else object
+
+
+def sorted_labels(ranked: RankedColumns, labels: SliceLabels) -> np.ndarray:
+    """(p, n) slice labels in each column's sorted order, in the smallest
+    unsigned dtype that holds them."""
+    g = labels.g.astype(np.min_scalar_type(labels.s_eff))
+    return g[ranked.order]
 
 
 def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
     """Fast path: the statistic for every column, for several slicings at once.
 
-    One sorted pass per column shared across all slicings, then per-slice
-    cumulative counts; cost O(p * (n log n + n * sum s_eff)). Uses the
-    identity sum_g p_g (F_g - F)^2 = sum_g p_g F_g^2 - F^2 and evaluates tied
-    values at the end of their tie run, so results are invariant under row
-    permutation bit for bit. Entries of ``labels_list`` may be None
-    (degenerate slicing), contributing a zero row.
+    With c_s(t) the number of slice-s entries among a column's first t + 1
+    sorted entries and t_i the end of the tie run at sorted position i,
+
+        n^2 * MV = sum_s (1/size_s) sum_i c_s(t_i)^2 - (1/n) sum_i (t_i + 1)^2,
+
+    from sum_g p_g (F_g - F)^2 = sum_g p_g F_g^2 - F^2. Listing a slice's
+    entries in sorted order, entry k with within-slice rank r_k whose tie
+    run starts at b_k is counted by the n - b_k positions from b_k on, and
+    adds 2 r_k + 1 to c_s^2 there, so
+
+        sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k).
+
+    One stable sort of a column's sorted labels (a radix sort, since the
+    labels are small unsigned integers) lists each slice's sorted positions
+    in order, so r_k is the offset from the slice's start. Both sums are
+    exact integers, the order within a tie run cancels out, and the scores
+    are bit-identical under row permutation. Cost: one column sort, then per
+    slicing one label gather, one small-int sort and one segmented sum, so
+    O(p * (n log n + n * len(labels_list))). Entries of ``labels_list`` may
+    be None (degenerate slicing), contributing a zero row.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -82,18 +131,26 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
     if not any(lab.s_eff > 1 for lab in live):
         return out
 
-    order, t = ranked_columns(x)
-    fhat_sq = np.square((t + 1.0) / n)
+    ranked = ranked_columns(x)
+    exact = _exact_int(n)
+    # sum_i (t_i + 1)^2: sum of squares 1..n in a tie-free column
+    f_sq = np.full(p, n * (n + 1) * (2 * n + 1) // 6, dtype=exact)
+    f_sq[ranked.tied] = np.square(ranked.end.astype(exact) + 1).sum(axis=1)
     for k, labels in enumerate(labels_list):
         if labels is None or labels.s_eff == 1:
             continue
-        acc = np.zeros((n, p))
-        for size, cum in zip(labels.counts.astype(np.float64),
-                             slice_counts_at_runs(order, t, labels)):
-            cum = cum.astype(np.float64)
-            acc += cum * cum / (n * size)
-        acc -= fhat_sq
-        out[k] = acc.sum(axis=0) / n
+        sizes = labels.counts.astype(exact)
+        first = np.concatenate(([0], np.cumsum(labels.counts)[:-1]))
+        # 2 r + 1 at each place of the slice-by-slice listing
+        weight = 2 * (np.arange(n) - np.repeat(first, labels.counts)) + 1
+        run_start = np.argsort(sorted_labels(ranked, labels), axis=1, kind="stable")
+        run_start[ranked.tied] = np.take_along_axis(ranked.start, run_start[ranked.tied],
+                                                    axis=1)
+        # sum_{k in s} (2 r_k + 1) b_k, then n size_s^2 minus it
+        run_start = run_start.astype(exact, copy=False)
+        dot = np.add.reduceat(np.multiply(run_start, weight, out=run_start), first, axis=1)
+        sq_counts = n * sizes * sizes - dot
+        out[k] = ((sq_counts / sizes).sum(axis=1) - f_sq / n) / (n * n)
     return out
 
 

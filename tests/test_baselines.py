@@ -146,12 +146,12 @@ def test_fks_median_split_hand_value() -> None:
 def fks_oracle(col, labels_list) -> float:
     """Per scheme, the largest gap between any two slices' conditional ECDFs
     over the sample points, summed over schemes; pairwise, no sorting."""
+    leq = col[None, :] <= col[:, None]  # leq[i, k] = I(x_k <= x_i)
     total = 0.0
     for lab in labels_list:
         if lab is None:
             continue
-        ecdfs = [np.array([np.mean(col[lab.g == s] <= v) for v in col])
-                 for s in range(1, lab.s_eff + 1)]
+        ecdfs = [leq[:, lab.g == s].mean(axis=1) for s in range(1, lab.s_eff + 1)]
         total += max(float(np.abs(a - b).max())
                      for a, b in itertools.combinations(ecdfs, 2))
     return total
@@ -175,6 +175,28 @@ def test_fks_equals_pairwise_oracle() -> None:
             assert scores[3] == 0.0
             for j in range(x.shape[1]):
                 assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, schemes", [
+    (255, [3, 7]),  # positions and counts just fit one byte
+    (256, [3, 7]),  # and here they no longer do
+    (600, None),  # 300 categorical labels: two-byte slice labels
+    (2000, [3, 13]),
+])
+def test_fks_matches_oracle_at_dtype_edges(n, schemes) -> None:
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3))
+    x[:, 1] = np.round(x[:, 1], 1)
+    if schemes is None:
+        y = rng.permutation(np.arange(n) % 300).astype(float)
+        kind = ResponseKind.CATEGORICAL
+    else:
+        y, kind = x[:, 0] + rng.normal(size=n), ResponseKind.CONTINUOUS
+    scores = fks_scores(x, y, kind, schemes)
+    labels_list = labels_for_schemes(y, kind, schemes)
+    assert labels_list[0].s_eff == (300 if schemes is None else schemes[0])
+    for j in range(x.shape[1]):
+        assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
 
 
 def test_fks_single_slice_zero() -> None:

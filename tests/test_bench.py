@@ -95,6 +95,16 @@ def test_degenerate_replication_flagged_by_every_screener() -> None:
         assert summary.degenerate_reps == (0,), summary.screener
 
 
+def test_degenerate_replications_counted_in_reports() -> None:
+    spec = ExperimentSpec("6", n=3, p=4)
+    out = run_replications(spec, ["fmv"], reps=1, base_seed=13)
+    csv_text = render_table_csv(out)
+    assert csv_text.split("\n")[1].endswith(",1")
+    assert parse_table_csv(csv_text)[0]["degenerate"] == 1
+    header, row = render_table_text(out).split("\n")[:2]
+    assert header.split()[-1] == "degenerate" and row.split()[-1] == "1"
+
+
 def test_scorer_bug_propagates(monkeypatch) -> None:
     # only data-degenerate errors are flagged; a plain ValueError is a bug
     def broken(*args, **kwargs):
@@ -127,7 +137,7 @@ def test_render_single_summary_single_row() -> None:
     csv_text = render_table_csv(out)
     lines = csv_text.strip().split("\n")
     assert len(lines) == 2
-    assert lines[0] == "experiment,screener,n_active,replications,median,sd,se"
+    assert lines[0] == "experiment,screener,n_active,replications,median,sd,se,degenerate"
 
 
 def test_render_is_order_insensitive() -> None:
@@ -147,6 +157,7 @@ def test_csv_round_trip() -> None:
         assert row["median"] == s.median
         assert row["sd"] == s.sd
         assert row["se"] == s.se
+        assert row["degenerate"] == 0
 
 
 def test_write_reports_layout(tmp_path) -> None:

@@ -151,6 +151,30 @@ def test_screen_names_non_numeric_column(tmp_path, capsys) -> None:
     assert "'a'" in capsys.readouterr().err
 
 
+def test_screen_names_first_bad_cell_in_column_order(tmp_path, capsys) -> None:
+    # bad cells in column b (row 2) and column a (row 4): the column comes first
+    data = tmp_path / "bad.csv"
+    data.write_text("resp,a,b\n1.0,1.5,oops\n2.0,2.5,3.0\n3.0, bad ,4.0\n")
+    rc = main(["screen", "--input", str(data), "--response", "resp",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: column 'a' has non-numeric value 'bad' in row 4\n")
+
+
+def test_parse_missing_tokens_and_padded_numbers() -> None:
+    header = ["resp", "a", "b"]
+    rows = [[" 1.5 ", "nan", "2"],
+            ["2.5", " NA ", "3"],
+            ["\t3.5\t", " -0.25 ", "4e0"],
+            ["4.5", "1", "NaN"],
+            ["5.5", "", "7"],
+            ["6.5", "2", " 6 "]]
+    mat, dropped = fmvscreen.cli._to_float_matrix(header, rows)
+    assert dropped == 4
+    assert mat.tolist() == [[3.5, -0.25, 4.0], [6.5, 2.0, 6.0]]
+
+
 def test_screen_missing_response_column(tmp_path, capsys) -> None:
     data = tmp_path / "toy.csv"
     write_toy_csv(data)
@@ -199,7 +223,7 @@ def test_bench_cli_warns_on_degenerate_replications(tmp_path, capsys, monkeypatc
     assert len(warnings) == 2
     assert "6/fmv: 1 of 1 replications degenerate" in warnings[0]
     assert "6/sis: 1 of 1 replications degenerate" in warnings[1]
-    # the flag goes to stderr only; the report is what run_replications renders
+    # the warning goes to stderr; the report is what run_replications renders
     spec = ExperimentSpec("6", n=3, p=4)
     expected = render_table_csv(run_replications(spec, ["fmv", "sis"], 1, base_seed=13))
     assert (out_dir / "table1.csv").read_text() == expected

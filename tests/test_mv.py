@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fmvscreen.mv
 from fmvscreen import (
     InputError,
     build_discrete_slices,
@@ -10,7 +11,7 @@ from fmvscreen import (
     mv_hat,
     mv_hat_bruteforce,
 )
-from fmvscreen.mv import mv_hat_columns_multi, ranked_columns, slice_counts_at_runs
+from fmvscreen.mv import mv_hat_columns_multi, ranked_columns
 from fmvscreen.slicing import SliceLabels
 
 
@@ -91,26 +92,71 @@ def test_matrix_path_matches_columnwise_oracle() -> None:
     assert cols[5] == 0.0
 
 
-def test_ranked_columns_give_ecdfs_at_sample_points() -> None:
-    # the core shared with fks: t + 1 counts the entries <= each sorted
-    # entry, and each slice's counts at t do the same within the slice
+def test_ranked_columns_match_bruteforce() -> None:
+    # the core shared with fks: per column a sort order, and for the tied
+    # columns only, each sorted position's tie-run start and end
     rng = np.random.default_rng(31)
     for n in (1, 2, 9, 50):
-        x = rng.normal(size=(n, 4))
+        x = rng.normal(size=(n, 5))
         x[:, 1] = np.round(x[:, 1], 1)
         x[:, 2] = np.round(x[:, 2])
         x[:, 3] = rng.choice([-0.0, 0.0], size=n)  # one tie run of signed zeros
-        labels = make_labels(rng.permutation(np.arange(n) % 3) + 1)
-        order, t = ranked_columns(x)
-        counts = list(slice_counts_at_runs(order, t, labels))
-        assert len(counts) == labels.s_eff
+        x[:, 4] = 1.5
+        ranked = ranked_columns(x)
+        assert ranked.order.shape == (5, n)
+        expect_tied = [j for j in range(5) if np.unique(x[:, j]).size < n]
+        assert ranked.tied.tolist() == expect_tied
+        assert ranked.start.shape == ranked.end.shape == (len(expect_tied), n)
+        assert ranked.start.dtype.kind == ranked.end.dtype.kind == "u"
+        for j in range(5):
+            assert sorted(ranked.order[j]) == list(range(n))
+            xs = x[ranked.order[j], j]
+            assert np.all(xs[1:] >= xs[:-1])
+        for k, j in enumerate(ranked.tied):
+            xs = x[ranked.order[j], j]
+            for i in range(n):
+                run = np.flatnonzero(xs == xs[i])
+                assert ranked.start[k, i] == run[0]
+                assert ranked.end[k, i] == run[-1]
+
+
+@pytest.mark.parametrize("n, s_values", [
+    (255, [3, 7]),  # positions and counts just fit one byte
+    (256, [3, 7]),  # and here they no longer do
+    (600, None),  # 300 categorical labels: two-byte slice labels
+    (2000, [3, 13]),  # n^3 > 2^31: a 32-bit sum would overflow
+])
+def test_kernel_matches_oracle_at_dtype_edges(n, s_values) -> None:
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3))
+    x[:, 1] = np.round(x[:, 1], 1)
+    if s_values is None:
+        g = rng.permutation(np.arange(n) % 300) + 1
+        labels_list = [make_labels(g)]
+        assert labels_list[0].s_eff == 300
+    else:
+        y = x[:, 0] + rng.normal(size=n)
+        labels_list = [build_quantile_slices(y, s) for s in s_values]
+    got = mv_hat_columns_multi(x, labels_list)
+    for k, labels in enumerate(labels_list):
         for j in range(x.shape[1]):
-            xs = x[order[:, j], j]
-            assert np.all(np.diff(xs) >= 0)
-            leq = x[:, j][None, :] <= xs[:, None]  # leq[i, k] = I(x_k <= xs_i)
-            assert np.array_equal(t[:, j] + 1, leq.sum(axis=1))
-            for s, cum in enumerate(counts, start=1):
-                assert np.array_equal(cum[:, j], (leq & (labels.g == s)).sum(axis=1))
+            assert abs(got[k, j] - mv_hat_bruteforce(x[:, j], labels)) <= 1e-12
+
+
+def test_exact_sums_beyond_int64_agree(monkeypatch) -> None:
+    # from n = 2^21 on, n^3 overflows int64 and the sums run on Python ints;
+    # force that path at a small n and compare with the int64 one
+    assert fmvscreen.mv._exact_int(2 ** 21 - 1) is np.int64
+    assert fmvscreen.mv._exact_int(2 ** 21) is object
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(90, 4))
+    x[:, 1] = np.round(x[:, 1], 1)
+    labels_list = [build_quantile_slices(rng.normal(size=90), s) for s in (3, 4, 5)]
+    fast = mv_hat_columns_multi(x, labels_list)
+    monkeypatch.setattr(fmvscreen.mv, "_exact_int", lambda n: object)
+    wide = mv_hat_columns_multi(x, labels_list)
+    assert wide.dtype == np.float64
+    assert np.max(np.abs(wide - fast)) <= 1e-15
 
 
 def test_input_errors() -> None:
