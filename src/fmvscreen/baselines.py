@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 
-from .checks import check_matrix, check_response
+from .checks import check_matrix, check_ranked, check_response
 from .errors import InputError
-from .mv import ranked_columns, sorted_labels
+from .mv import RankedColumns, ranked_columns, sorted_labels
 from .screening import ResponseKind, labels_for_schemes
-from .slicing import default_schemes
+from .slicing import SliceLabels, default_schemes
 
 __all__ = [
     "pearson_score",
@@ -166,50 +166,103 @@ def kendall_score_bruteforce(x, y) -> float:
 
 # -- Fused Kolmogorov filter -------------------------------------------------
 
+# sorted positions per step of fks's float stage, which bounds its float
+# temporaries to a few (_ROW_CHUNK, p) arrays at any n
+_ROW_CHUNK = 32
+# bytes of one column block's slice counts: a scheme with many slices (a
+# categorical response with many classes, say) is scored block by block, so
+# its (n, s_eff, columns) count array stays within this at any p
+_COUNT_BYTES = 1 << 26
+
+
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
-               schemes=None) -> np.ndarray:
+               schemes=None, *, ranked: RankedColumns | None = None) -> np.ndarray:
     """Per scheme, the largest Kolmogorov distance between any two per-slice
     conditional ECDFs of a column, summed over schemes.
 
-    Cost: one column sort shared by all schemes, then O(p * n) per slice, so
-    O(p * (n log n + n * sum s_eff)).
+    Cost: one column sort shared by all schemes (none when ``ranked`` passes
+    x's ranked view, ``mv.ranked_columns``, already built), then per scheme
+    O(p * n * s_eff) small-integer adds and O(p * n * sizes) float divisions,
+    where ``sizes`` counts the scheme's distinct slice sizes. Memory: s_eff
+    count-bytes per cell for the per-slice counts (two per lane once a slice
+    holds more than 255 entries), at most ``_COUNT_BYTES`` at a time, with
+    the float temporaries bounded by ``_ROW_CHUNK`` rows.
     """
     x = check_matrix(x)
     n, p = x.shape
     y = check_response(y, n)
+    check_ranked(ranked, x)
     if schemes is None:
         schemes = default_schemes(n)
-    labels_list = labels_for_schemes(y, kind, schemes)
-
-    ranked = ranked_columns(x)
-    # on tied columns only a tie run's last position holds the ECDF there
-    inside_run = ranked.end != np.arange(n)
+    live = [lab for lab in labels_for_schemes(y, kind, schemes)
+            if lab is not None and lab.s_eff > 1]
     out = np.zeros(p)
-    for labels in labels_list:
-        if labels is not None and labels.s_eff > 1:
-            gap = _widest_ecdf_gap(sorted_labels(ranked, labels), labels.counts)
-            gap[ranked.tied] = np.where(inside_run, 0.0, gap[ranked.tied])
-            out += gap.max(axis=1)
+    if not live:
+        return out
+    if ranked is None:
+        ranked = ranked_columns(x)
+    for labels in live:
+        count = np.min_scalar_type(labels.counts.max())
+        width = max(1, _COUNT_BYTES // (n * labels.s_eff * count.itemsize))
+        for lo in range(0, p, width):
+            out[lo:lo + width] += _widest_ecdf_gap(ranked.columns(lo, lo + width),
+                                                   labels, count)
     return out
 
 
-def _widest_ecdf_gap(gs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """At each sorted position, the largest gap between two slices' ECDFs.
+def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.ndarray:
+    """Per column of the view, the largest gap between two slices' ECDFs over
+    the sorted positions that end a tie run.
 
-    max over pairs of |F_a - F_b| equals fl(max_s F_s - min_s F_s), because
-    rounded subtraction is monotone in each argument, so two running arrays
-    replace the pairwise loop bit for bit.
+    Every slice's cumulative counts are built at once in an (n, s_eff, p)
+    array of dtype ``count``, one contiguous add per sorted position. Two
+    identities keep the result bit-identical to evaluating every ECDF in
+    floats and comparing every pair: max over pairs of |F_a - F_b| equals
+    fl(max_s F_s - min_s F_s), because rounded subtraction is monotone in
+    each argument; and among slices of one size m, max_s fl(c_s / m) =
+    fl(max_s c_s / m), because rounded division by m is monotone. So the
+    counts are reduced in integers per slice size, and each size divides
+    once.
     """
-    count = np.min_scalar_type(gs.shape[1])
-    hi = np.zeros(gs.shape)  # every ECDF value lies in [0, 1]
-    lo = np.ones(gs.shape)
-    f = np.empty(gs.shape)
-    for s, size in enumerate(sizes, start=1):
-        np.divide(np.cumsum(gs == s, axis=1, dtype=count), size, out=f)
-        np.maximum(hi, f, out=hi)
-        np.minimum(lo, f, out=lo)
-    hi -= lo
-    return hi
+    gs = sorted_labels(ranked, labels)
+    p, n = gs.shape
+    sizes = labels.counts
+    lanes = np.arange(1, sizes.size + 1, dtype=gs.dtype)
+    # counts[t, s - 1, j]: slice-s entries among column j's first t + 1 sorted
+    counts = np.empty((n, sizes.size, p), dtype=count)
+    np.equal(np.ascontiguousarray(gs.T)[:, None, :], lanes[:, None], out=counts)
+    del gs
+    for t in range(1, n):
+        np.add(counts[t - 1], counts[t], out=counts[t])
+    groups = [(size, np.flatnonzero(sizes == size)) for size in np.unique(sizes)]
+    # on tied columns only a tie run's last position holds the ECDF there
+    inside_run = ranked.end != np.arange(n)
+
+    widest = np.zeros(p)
+    rows = min(n, _ROW_CHUNK)
+    hi, lo, f = np.empty((rows, p)), np.empty((rows, p)), np.empty((rows, p))
+    for r0 in range(0, n, rows):
+        chunk = counts[r0:r0 + rows]
+        k = chunk.shape[0]
+        hi_k, lo_k, f_k = hi[:k], lo[:k], f[:k]
+        hi_k.fill(0.0)  # every ECDF value lies in [0, 1]
+        lo_k.fill(1.0)
+        for size, group in groups:
+            top = bottom = chunk[:, group[0]]
+            for s in group[1:]:
+                top = np.maximum(top, chunk[:, s])
+                bottom = np.minimum(bottom, chunk[:, s])
+            np.divide(top, size, out=f_k)
+            np.maximum(hi_k, f_k, out=hi_k)
+            if bottom is not top:  # a lone slice is its size's top and bottom
+                np.divide(bottom, size, out=f_k)
+            np.minimum(lo_k, f_k, out=lo_k)
+        hi_k -= lo_k
+        if ranked.tied.size:
+            hi_k[:, ranked.tied] = np.where(inside_run[:, r0:r0 + k].T, 0.0,
+                                            hi_k[:, ranked.tied])
+        np.maximum(widest, hi_k.max(axis=0), out=widest)
+    return widest
 
 
 def fks_score(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> float:

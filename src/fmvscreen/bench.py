@@ -4,6 +4,9 @@ One replication draws an instance, scores it with every requested screener,
 and records each screener's minimum model size: the smallest ranking prefix
 containing the whole active set. Replications use independently derived
 seeds, so any execution order (or thread count) produces the same report.
+A replication whose scores a screener flags as degenerate keeps its MMS in
+``MmsSummary.mms`` but stays out of that screener's ``median``, ``sd`` and
+``se``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .baselines import fks_scores, kendall_scores, pearson_scores
 from .errors import DegenerateSlicesError, InputError
+from .mv import ranked_columns
 from .screening import _resolve_threads, fmv_scores, rank_descending
 from .simulate import (
     ExperimentSpec,
@@ -40,12 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MmsSummary:
-    """Replicated minimum-model-size record for one (experiment, screener)."""
+    """Replicated minimum-model-size record for one (experiment, screener).
+
+    ``mms`` holds every replication's value; ``median``, ``sd`` and ``se``
+    summarise only the ``scored`` ones, those not in ``degenerate_reps``, and
+    read nan when none is.
+    """
 
     experiment: str
     screener: str
     n_active: int
     replications: int
+    scored: int
     mms: np.ndarray
     median: float
     sd: float
@@ -68,8 +78,8 @@ def mms(scores, active) -> int:
     return int(max(ranks[a - 1] for a in active))
 
 
-def _fmv_scorer(ds, schemes):
-    fused, _, degenerate = fmv_scores(ds.x, ds.y, ds.kind, schemes)
+def _fmv_scorer(ds, schemes, ranked):
+    fused, _, degenerate = fmv_scores(ds.x, ds.y, ds.kind, schemes, ranked=ranked)
     return fused, degenerate
 
 
@@ -78,20 +88,24 @@ def _flag_all_zero(scores):
     return scores, bool(np.all(scores == 0.0))
 
 
+# each scorer takes the dataset, the slice counts and the ranked view of x,
+# which only fmv and fks read
 _SCORERS = {
     "fmv": _fmv_scorer,
-    "sis": lambda ds, schemes: (pearson_scores(ds.x, ds.y), False),
-    "rcs": lambda ds, schemes: _flag_all_zero(kendall_scores(ds.x, ds.y)),
-    "fks": lambda ds, schemes: _flag_all_zero(fks_scores(ds.x, ds.y, ds.kind, schemes)),
+    "sis": lambda ds, schemes, ranked: (pearson_scores(ds.x, ds.y), False),
+    "rcs": lambda ds, schemes, ranked: _flag_all_zero(kendall_scores(ds.x, ds.y)),
+    "fks": lambda ds, schemes, ranked: _flag_all_zero(
+        fks_scores(ds.x, ds.y, ds.kind, schemes, ranked=ranked)),
 }
+_READS_RANKED = frozenset({"fmv", "fks"})
 
 SCREENER_NAMES = tuple(sorted(_SCORERS))
 
 
-def _score_one(name: str, instance, schemes) -> tuple[np.ndarray, bool]:
+def _score_one(name: str, instance, schemes, ranked) -> tuple[np.ndarray, bool]:
     ds = instance.dataset
     try:
-        return _SCORERS[name](ds, schemes)
+        return _SCORERS[name](ds, schemes, ranked)
     except (InputError, DegenerateSlicesError):
         # a pathological draw (e.g. zero-variance response) flags, never
         # aborts; any other error is a bug and must not read as a good MMS
@@ -103,8 +117,9 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     """Benchmark every requested screener over ``reps`` replications.
 
     All screeners score the same instance within a replication (paired
-    comparison). Replication r uses the stream derived from (base_seed, r),
-    so parallel execution is bit-reproducible.
+    comparison), and fmv and fks share one ranked view of its columns, built
+    once. Replication r uses the stream derived from (base_seed, r), so
+    parallel execution is bit-reproducible.
     """
     screeners = list(screeners)
     if reps < 1:
@@ -120,11 +135,14 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
 
     values = {name: np.empty(reps, dtype=np.int64) for name in screeners}
     flagged = {name: np.zeros(reps, dtype=bool) for name in screeners}
+    shares_view = not _READS_RANKED.isdisjoint(screeners)
 
     def one_rep(r: int) -> None:
         instance = gen_experiment(spec, derived_rng(base_seed, r))
+        # the dataset has checked x, so building its view cannot fail
+        ranked = ranked_columns(instance.dataset.x) if shares_view else None
         for name in screeners:
-            scores, degenerate = _score_one(name, instance, schemes)
+            scores, degenerate = _score_one(name, instance, schemes, ranked)
             values[name][r] = mms(scores, instance.active)
             flagged[name][r] = degenerate
 
@@ -140,24 +158,32 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     out = []
     for name in screeners:
         v = values[name]
-        spread_defined = reps > 1
-        sd = float(np.std(v, ddof=1)) if spread_defined else 0.0
+        kept = v[~flagged[name]]
+        scored = kept.size
+        spread_defined = scored > 1
+        if scored == 0:
+            median = sd = se = math.nan
+        else:
+            median = float(np.median(kept))
+            sd = float(np.std(kept, ddof=1)) if spread_defined else 0.0
+            se = sd / math.sqrt(scored) if spread_defined else 0.0
         out.append(MmsSummary(
             experiment=spec.id,
             screener=name,
             n_active=n_active,
             replications=reps,
+            scored=scored,
             mms=v,
-            median=float(np.median(v)),
+            median=median,
             sd=sd,
-            se=sd / math.sqrt(reps) if spread_defined else 0.0,
+            se=se,
             degenerate_reps=tuple(int(i) for i in np.flatnonzero(flagged[name])),
             spread_defined=spread_defined,
         ))
     return out
 
 
-_CSV_HEADER = "experiment,screener,n_active,replications,median,sd,se,degenerate"
+_CSV_HEADER = "experiment,screener,n_active,replications,scored,median,sd,se,degenerate"
 
 
 def _sorted_rows(summaries) -> list[MmsSummary]:
@@ -167,15 +193,16 @@ def _sorted_rows(summaries) -> list[MmsSummary]:
 def render_table_csv(summaries) -> str:
     """Deterministic CSV rendering, keyed and sorted by (experiment, screener).
 
-    ``degenerate`` counts the flagged replications, whose MMS still enters
-    ``median``, ``sd`` and ``se``.
+    ``degenerate`` counts the flagged replications and ``scored`` the
+    others, which alone enter ``median``, ``sd`` and ``se``; with none
+    scored these read ``nan``.
     """
     if not summaries:
         raise InputError("no summaries to render")
     lines = [_CSV_HEADER]
     for s in _sorted_rows(summaries):
         lines.append(
-            f"{s.experiment},{s.screener},{s.n_active},{s.replications},"
+            f"{s.experiment},{s.screener},{s.n_active},{s.replications},{s.scored},"
             f"{s.median!r},{s.sd!r},{s.se!r},{len(s.degenerate_reps)}"
         )
     return "\n".join(lines) + "\n"
@@ -188,12 +215,13 @@ def parse_table_csv(text: str) -> list[dict]:
         raise InputError("unrecognized report header")
     rows = []
     for ln in lines[1:]:
-        experiment, screener, n_active, reps, median, sd, se, degenerate = ln.split(",")
+        experiment, screener, n_active, reps, scored, median, sd, se, degenerate = ln.split(",")
         rows.append({
             "experiment": experiment,
             "screener": screener,
             "n_active": int(n_active),
             "replications": int(reps),
+            "scored": int(scored),
             "median": float(median),
             "sd": float(sd),
             "se": float(se),
@@ -204,10 +232,11 @@ def parse_table_csv(text: str) -> list[dict]:
 
 def render_table_text(summaries) -> str:
     """Aligned human-readable rendering of the same rows as the CSV."""
-    rows = [("experiment", "screener", "N#", "reps", "median", "sd", "se", "degenerate")]
+    rows = [("experiment", "screener", "N#", "reps", "scored", "median", "sd", "se",
+             "degenerate")]
     for s in _sorted_rows(summaries):
         rows.append((s.experiment, s.screener, str(s.n_active), str(s.replications),
-                     f"{s.median:g}", f"{s.sd:.4g}", f"{s.se:.4g}",
+                     str(s.scored), f"{s.median:g}", f"{s.sd:.4g}", f"{s.se:.4g}",
                      str(len(s.degenerate_reps))))
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]

@@ -26,3 +26,13 @@ def check_response(y, n: int) -> np.ndarray:
     if not np.isfinite(y).all():
         raise InputError("y contains non-finite entries")
     return y
+
+
+def check_ranked(ranked, x: np.ndarray) -> None:
+    """Rejects a prepared ranked view (``mv.RankedColumns``) whose shape does
+    not match the n-by-p matrix x; None (no view) passes."""
+    n, p = x.shape
+    if ranked is not None and ranked.order.shape != (p, n):
+        cols, rows = ranked.order.shape
+        raise InputError(f"ranked view covers {cols} columns of {rows} rows, "
+                         f"predictor has {p} columns of {n} rows")

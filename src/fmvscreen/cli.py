@@ -245,7 +245,7 @@ def cmd_bench(args) -> int:
         if s.degenerate_reps:
             print(f"warning: {s.experiment}/{s.screener}: {len(s.degenerate_reps)} of "
                   f"{s.replications} replications degenerate (scores all zero or "
-                  "unscorable); their MMS still counts in median, sd and se",
+                  "unscorable); left out of median, sd and se",
                   file=sys.stderr)
     written = write_reports(summaries, args.out)
     print(render_table_text(summaries), end="")

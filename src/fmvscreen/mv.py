@@ -13,8 +13,14 @@ point (constant predictors and single-slice partitions included).
 The fast kernel reads each slice's ECDF only through exact integer sums over
 a shared ranked view of the columns (``ranked_columns``):
 sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
-``mv_hat_columns_multi``. It costs O(p * (n log n + n * schemes)); the fks
-baseline on the same view keeps per-slice counts, O(p * n * sum s_eff).
+``mv_hat_columns_multi``. It costs O(p * (n log n + n * schemes)). The fks
+baseline reads the same view: per scheme it accumulates every slice's
+cumulative counts at once, S count-bytes per cell (S = s_eff, one byte per
+lane while slices hold at most 255 entries) over column blocks of a fixed
+byte budget, with its float temporaries bounded by a fixed row chunk, so
+O(p * n * sum s_eff) small-integer adds.
+A caller that scores one matrix several ways builds the view once and passes
+it as ``ranked=``; the column sort is then paid once.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_matrix
+from .checks import check_matrix, check_ranked
 from .errors import InputError
 from .slicing import SliceLabels
 
@@ -56,6 +62,12 @@ class RankedColumns(NamedTuple):
     tied: np.ndarray
     start: np.ndarray
     end: np.ndarray
+
+    def columns(self, lo: int, hi: int) -> RankedColumns:
+        """The view of columns lo..hi-1 alone, as views into this one."""
+        a, b = np.searchsorted(self.tied, (lo, hi))
+        return RankedColumns(self.order[lo:hi], self.tied[a:b] - lo,
+                             self.start[a:b], self.end[a:b])
 
 
 def ranked_columns(x: np.ndarray) -> RankedColumns:
@@ -98,7 +110,8 @@ def sorted_labels(ranked: RankedColumns, labels: SliceLabels) -> np.ndarray:
     return g[ranked.order]
 
 
-def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
+def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
+                         ranked: RankedColumns | None = None) -> np.ndarray:
     """Fast path: the statistic for every column, for several slicings at once.
 
     With c_s(t) the number of slice-s entries among a column's first t + 1
@@ -119,11 +132,13 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
     exact integers, the order within a tie run cancels out, and the scores
     are bit-identical under row permutation. Cost: one column sort, then per
     slicing one label gather, one small-int sort and one segmented sum, so
-    O(p * (n log n + n * len(labels_list))). Entries of ``labels_list`` may
-    be None (degenerate slicing), contributing a zero row.
+    O(p * (n log n + n * len(labels_list))), the sort skipped when
+    ``ranked`` passes the view of x already built. Entries of
+    ``labels_list`` may be None (degenerate slicing), contributing a zero row.
     """
     x = check_matrix(x)
     n, p = x.shape
+    check_ranked(ranked, x)
     live = [lab for lab in labels_list if lab is not None]
     for lab in live:
         _check_labels(n, lab)
@@ -131,7 +146,8 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list) -> np.ndarray:
     if not any(lab.s_eff > 1 for lab in live):
         return out
 
-    ranked = ranked_columns(x)
+    if ranked is None:
+        ranked = ranked_columns(x)
     exact = _exact_int(n)
     # sum_i (t_i + 1)^2: sum of squares 1..n in a tie-free column
     f_sq = np.full(p, n * (n + 1) * (2 * n + 1) // 6, dtype=exact)

@@ -9,9 +9,9 @@ from enum import Enum
 
 import numpy as np
 
-from .checks import check_matrix, check_response
+from .checks import check_matrix, check_ranked, check_response
 from .errors import DegenerateSlicesError, InputError
-from .mv import mv_hat_columns_multi
+from .mv import RankedColumns, mv_hat_columns_multi
 from .slicing import (
     SliceLabels,
     build_categorical_slices,
@@ -134,17 +134,20 @@ def labels_for_schemes(y, kind: ResponseKind, schemes) -> list[SliceLabels | Non
 
 
 def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
-               schemes=None, threads: int = 1) -> tuple[np.ndarray, np.ndarray, bool]:
+               schemes=None, threads: int = 1, *,
+               ranked: RankedColumns | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
     """Fused scores for every column of a predictor matrix.
 
     Returns (fused, per_scheme, degenerate) where per_scheme has one row per
     scheme. Slicings depend only on y and are built once; columns are scored
     in parallel over disjoint blocks when threads > 1, which cannot change
-    the result.
+    the result. ``ranked`` is x's ranked view (``mv.ranked_columns``) when
+    the caller has built it already; each block then reads its columns of it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InputError(f"expected an n-by-p matrix, got shape {x.shape}")
+    check_ranked(ranked, x)
     n, p = x.shape
     schemes = default_schemes(n) if schemes is None else list(schemes)
     if not schemes:
@@ -154,15 +157,18 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
 
     n_threads = _resolve_threads(threads)
     if n_threads <= 1 or p < 2 * n_threads:
-        per_scheme = mv_hat_columns_multi(x, labels_list)
+        per_scheme = mv_hat_columns_multi(x, labels_list, ranked=ranked)
     else:
         per_scheme = np.zeros((len(labels_list), p))
         blocks = _column_blocks(p, n_threads)
+
+        def score_block(block):
+            lo, hi = block
+            view = None if ranked is None else ranked.columns(lo, hi)
+            return mv_hat_columns_multi(x[:, lo:hi], labels_list, ranked=view)
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for (lo, hi), block in zip(
-                blocks,
-                pool.map(lambda b: mv_hat_columns_multi(x[:, b[0]:b[1]], labels_list), blocks),
-            ):
+            for (lo, hi), block in zip(blocks, pool.map(score_block, blocks)):
                 per_scheme[:, lo:hi] = block
     return per_scheme.sum(axis=0), per_scheme, degenerate
 

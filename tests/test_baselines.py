@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from fmvscreen import (
     pearson_score,
     pearson_scores,
 )
-from fmvscreen.baselines import kendall_score_bruteforce
+import fmvscreen.baselines
+import fmvscreen.mv
+from fmvscreen.baselines import _ROW_CHUNK, kendall_score_bruteforce
+from fmvscreen.mv import ranked_columns
 from fmvscreen.screening import labels_for_schemes
 
 
@@ -197,6 +201,135 @@ def test_fks_matches_oracle_at_dtype_edges(n, schemes) -> None:
     assert labels_list[0].s_eff == (300 if schemes is None else schemes[0])
     for j in range(x.shape[1]):
         assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+
+
+def straddling_ties(rng, n: int) -> np.ndarray:
+    """An n-by-4 matrix whose tie runs cover the sorted positions on both
+    sides of each row-chunk boundary, plus a rounded and a constant column."""
+    ranks = np.arange(n, dtype=float)
+    for edge in range(_ROW_CHUNK, n, _ROW_CHUNK):
+        ranks[edge - 2:edge + 2] = edge - 2  # positions edge-2 .. edge+1 tie
+    ranks[n - 3:] = n - 3  # a run ending at the last position
+    x = np.column_stack([ranks, ranks[::-1] ** 3, np.round(rng.normal(size=n), 1),
+                         np.full(n, -0.0)])
+    return x[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("n", [_ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 1])
+def test_fks_at_row_chunk_edges(n) -> None:
+    rng = np.random.default_rng(n + 40)
+    x = straddling_ties(rng, n)
+    y_cont = x[:, 0] + rng.normal(size=n)
+    for y, kind, schemes in ((y_cont, ResponseKind.CONTINUOUS, [2, 3, 5]),
+                             (np.round(y_cont / 4), ResponseKind.CONTINUOUS, [4]),
+                             (rng.poisson(1.5, size=n).astype(float), ResponseKind.COUNT, [3, 4])):
+        scores = fks_scores(x, y, kind, schemes)
+        labels_list = labels_for_schemes(y, kind, schemes)
+        for j in range(x.shape[1]):
+            assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+        assert scores[3] == 0.0
+        perm = rng.permutation(n)
+        assert np.array_equal(fks_scores(x[perm], y[perm], kind, schemes), scores)
+
+
+def test_fks_two_byte_counts_and_several_size_groups() -> None:
+    # one category of 300 entries forces two-byte counts; the rest have sizes
+    # 40, 25, 25 and 10, so four size groups, one of them with two slices
+    rng = np.random.default_rng(41)
+    sizes = [300, 40, 25, 25, 10]
+    y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).astype(float)
+    n = y.size
+    x = np.column_stack([y + rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         rng.normal(size=n)])
+    labels_list = labels_for_schemes(y, ResponseKind.CATEGORICAL, None)
+    assert sorted(labels_list[0].counts) == sorted(sizes)
+    scores = fks_scores(x, y, ResponseKind.CATEGORICAL)
+    for j in range(x.shape[1]):
+        assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+    perm = rng.permutation(n)
+    assert np.array_equal(fks_scores(x[perm], y[perm], ResponseKind.CATEGORICAL), scores)
+
+
+def test_fks_column_blocks_are_bit_identical(monkeypatch) -> None:
+    # a small count budget splits every scheme into column blocks: one
+    # column each at one byte, several at the larger budget; the scores
+    # must not notice
+    rng = np.random.default_rng(45)
+    n = 2 * _ROW_CHUNK + 1
+    x = np.column_stack([straddling_ties(rng, n), rng.normal(size=(n, 3))])
+    cases = [(x[:, 0] + rng.normal(size=n), ResponseKind.CONTINUOUS, [3, 5]),
+             (rng.permutation(np.arange(n) % 11).astype(float), ResponseKind.CATEGORICAL, None)]
+    whole = [fks_scores(x, y, kind, schemes) for y, kind, schemes in cases]
+    for budget in (1, 3 * n * 11):
+        monkeypatch.setattr(fmvscreen.baselines, "_COUNT_BYTES", budget)
+        for (y, kind, schemes), want in zip(cases, whole):
+            assert np.array_equal(fks_scores(x, y, kind, schemes), want)
+
+
+def test_fks_count_memory_stays_within_budget(monkeypatch) -> None:
+    # 100 classes of two rows: unblocked, the counts alone would take
+    # n * 100 * p = 4 MB; a 200 kB budget must bound the whole call
+    rng = np.random.default_rng(46)
+    n, p = 200, 200
+    x = rng.normal(size=(n, p))
+    y = rng.permutation(np.arange(n) % 100).astype(float)
+    ranked = ranked_columns(x)
+    want = fks_scores(x, y, ResponseKind.CATEGORICAL, ranked=ranked)
+    monkeypatch.setattr(fmvscreen.baselines, "_COUNT_BYTES", 200_000)
+    tracemalloc.start()
+    try:
+        got = fks_scores(x, y, ResponseKind.CATEGORICAL, ranked=ranked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 1_000_000
+
+
+def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> None:
+    rng = np.random.default_rng(42)
+    n = 70
+    x = np.round(rng.normal(size=(n, 9)), 1)  # every column has tie runs
+    x[:, 4] = 2.0
+    x[:, 7] = rng.normal(size=n)  # and one has none
+    y = x[:, 0] + rng.normal(size=n)
+    ranked = ranked_columns(x)
+    own_fks = fks_scores(x, y, schemes=[3, 4])
+    own = fmv_scores(x, y, schemes=[3, 4])[1]
+    assert np.array_equal(fmv_scores(x, y, schemes=[3, 4], threads=2)[1], own)
+
+    def no_sort(x):
+        raise AssertionError("a scorer given a view sorted the columns again")
+
+    # with a view, neither scorer nor any thread block sorts again
+    monkeypatch.setattr(fmvscreen.mv, "ranked_columns", no_sort)
+    monkeypatch.setattr(fmvscreen.baselines, "ranked_columns", no_sort)
+    assert np.array_equal(fks_scores(x, y, schemes=[3, 4], ranked=ranked), own_fks)
+    for threads in (1, 2):
+        assert np.array_equal(fmv_scores(x, y, schemes=[3, 4], threads=threads,
+                                         ranked=ranked)[1], own)
+
+
+@pytest.mark.parametrize("shape", [(70, 8), (69, 9), (9, 70)])
+def test_scorers_reject_a_ranked_view_of_another_shape(shape) -> None:
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(70, 9))
+    y = rng.normal(size=70)
+    wrong = ranked_columns(rng.normal(size=shape))
+    with pytest.raises(InputError, match="ranked view"):
+        fks_scores(x, y, schemes=[3], ranked=wrong)
+    for threads in (1, 2):
+        with pytest.raises(InputError, match="ranked view"):
+            fmv_scores(x, y, schemes=[3], threads=threads, ranked=wrong)
+
+
+def test_fks_degenerate_response_skips_the_column_sort(monkeypatch) -> None:
+    def no_sort(x):
+        raise AssertionError("a degenerate response needs no ranked view")
+
+    monkeypatch.setattr(fmvscreen.baselines, "ranked_columns", no_sort)
+    x = np.random.default_rng(44).normal(size=(12, 3))
+    assert np.array_equal(fks_scores(x, np.full(12, 2.0), ResponseKind.COUNT, [3]), np.zeros(3))
 
 
 def test_fks_single_slice_zero() -> None:

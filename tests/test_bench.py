@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fmvscreen.baselines
 import fmvscreen.bench
+import fmvscreen.mv
 from fmvscreen import (
     ExperimentSpec,
     InputError,
@@ -105,6 +107,58 @@ def test_degenerate_replications_counted_in_reports() -> None:
     assert header.split()[-1] == "degenerate" and row.split()[-1] == "1"
 
 
+def test_flagged_replications_stay_out_of_summary_statistics() -> None:
+    # the all-zero count response ranks the active columns first (MMS 2); that
+    # value stays in mms but must never read as a median
+    spec = ExperimentSpec("6", n=3, p=4)
+    for summary in run_replications(spec, ["fmv", "sis", "rcs", "fks"], reps=1, base_seed=13):
+        assert summary.mms.tolist() == [2], summary.screener
+        assert summary.scored == 0 and not summary.spread_defined
+        assert np.isnan(summary.median) and np.isnan(summary.sd) and np.isnan(summary.se)
+    out = run_replications(spec, ["fmv"], reps=1, base_seed=13)
+    row = parse_table_csv(render_table_csv(out))[0]
+    assert row["scored"] == 0 and np.isnan(row["median"]) and np.isnan(row["se"])
+    assert render_table_text(out).split("\n")[1].split()[4:6] == ["0", "nan"]
+
+
+def test_summary_statistics_use_scored_replications_only(monkeypatch) -> None:
+    # flag fmv on every other replication: its summary must equal the
+    # statistics of the unflagged MMS values alone
+    real = fmvscreen.bench._SCORERS["fmv"]
+    calls = []
+
+    def every_other(ds, schemes, ranked):
+        scores, _ = real(ds, schemes, ranked)
+        calls.append(None)
+        return scores, len(calls) % 2 == 0
+
+    monkeypatch.setitem(fmvscreen.bench._SCORERS, "fmv", every_other)
+    summary, = run_replications(small_spec(), ["fmv"], reps=6, base_seed=3)
+    assert summary.degenerate_reps == (1, 3, 5)
+    assert summary.scored == 3 and summary.spread_defined
+    kept = summary.mms[[0, 2, 4]]
+    assert summary.median == float(np.median(kept))
+    assert summary.sd == float(np.std(kept, ddof=1))
+    assert summary.se == summary.sd / np.sqrt(3)
+
+
+def test_ranked_view_built_once_per_replication(monkeypatch) -> None:
+    real = fmvscreen.mv.ranked_columns
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return real(x)
+
+    for module in (fmvscreen.bench, fmvscreen.mv, fmvscreen.baselines):
+        monkeypatch.setattr(module, "ranked_columns", counting)
+    run_replications(small_spec(), ["fmv", "sis", "fks"], reps=3, base_seed=2)
+    assert calls == [(60, 50)] * 3
+    calls.clear()
+    run_replications(small_spec(), ["sis", "rcs"], reps=3, base_seed=2)
+    assert calls == []
+
+
 def test_scorer_bug_propagates(monkeypatch) -> None:
     # only data-degenerate errors are flagged; a plain ValueError is a bug
     def broken(*args, **kwargs):
@@ -137,7 +191,8 @@ def test_render_single_summary_single_row() -> None:
     csv_text = render_table_csv(out)
     lines = csv_text.strip().split("\n")
     assert len(lines) == 2
-    assert lines[0] == "experiment,screener,n_active,replications,median,sd,se,degenerate"
+    assert lines[0] == ("experiment,screener,n_active,replications,scored,median,sd,se,"
+                        "degenerate")
 
 
 def test_render_is_order_insensitive() -> None:
@@ -154,6 +209,7 @@ def test_csv_round_trip() -> None:
         row = by_key[(s.experiment, s.screener)]
         assert row["n_active"] == s.n_active
         assert row["replications"] == s.replications
+        assert row["scored"] == s.scored == 3
         assert row["median"] == s.median
         assert row["sd"] == s.sd
         assert row["se"] == s.se
