@@ -11,7 +11,7 @@ from .checks import check_matrix, check_ranked, check_response
 from .errors import InputError
 from .mv import RankedColumns, ranked_columns, sorted_labels
 from .screening import ResponseKind, labels_for_schemes
-from .slicing import SliceLabels, default_schemes
+from .slicing import SliceLabels, default_schemes, distinct_sorted
 
 __all__ = [
     "pearson_score",
@@ -234,7 +234,8 @@ def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.nd
     del gs
     for t in range(1, n):
         np.add(counts[t - 1], counts[t], out=counts[t])
-    groups = [(size, np.flatnonzero(sizes == size)) for size in np.unique(sizes)]
+    groups = [(size, np.flatnonzero(sizes == size))
+              for size in distinct_sorted(np.sort(sizes))]
     # on tied columns only a tie run's last position holds the ECDF there
     inside_run = ranked.end != np.arange(n)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -19,6 +20,10 @@ from .slicing import default_schemes
 __all__ = ["main", "build_parser"]
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+# body lines per np.loadtxt call in ``screen``'s CSV reader
+_BLOCK_LINES = 64
+# deletes the characters a plain line may hold (see ``_is_plain``)
+_NOT_PLAIN = str.maketrans("", "", "0123456789.+-eE,\r\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,54 +80,149 @@ def _parse_schemes(text: str, n: int) -> list[int]:
     return schemes
 
 
-def _read_csv_columns(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _is_plain(line: str) -> bool:
+    """True when the line holds only digits, signs, points, exponent letters
+    and commas, with no empty field: ``np.loadtxt`` then reads it exactly as
+    ``csv.reader`` and ``float()`` would, or rejects it."""
+    body = line.rstrip("\r\n")
+    return (not line.translate(_NOT_PLAIN) and body != "" and body[0] != ","
+            and body[-1] != "," and ",," not in body)
+
+
+def _parse_row(row: list[str], out: np.ndarray) -> tuple[int, str] | None:
+    """Parse one row's cells into ``out``; missing tokens become NaN.
+
+    The row converts in one call unless it holds a missing token or a bad
+    cell; only then is it read cell by cell. Returns the first bad cell as
+    (column, stripped text), or None.
+    """
+    try:
+        out[:] = np.fromiter(map(float, row), dtype=np.float64, count=len(row))
+        return None
+    except ValueError:
+        pass
+    for j, cell in enumerate(row):
+        cell = cell.strip()
+        if cell.lower() in _MISSING_TOKENS:
+            out[j] = np.nan
+            continue
         try:
-            header = next(reader)
+            out[j] = float(cell)
+        except ValueError:
+            return j, cell
+    return None
+
+
+class _Body:
+    """The data rows of a CSV, parsed block by block into float arrays.
+
+    Rows with a missing value are dropped as each block lands. Faults are
+    only recorded while reading, so the one reported is the same whatever
+    order the rows arrive in: the first row of the wrong length, else the
+    first bad cell in column-major order. Once a fault is known, no more
+    values are kept.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows = 0  # nonempty rows read so far
+        self.dropped = 0
+        self.blocks: list[np.ndarray] = []
+        self.ragged: str | None = None  # message for the first row of the wrong length
+        self.bad: tuple[int, int, str] | None = None  # (column, row, cell)
+
+    def add_plain(self, lines: list[str]) -> None:
+        """Plain lines (``_is_plain``) in one ``np.loadtxt`` call; a block it
+        rejects, or returns in another shape, goes through ``add_rows``."""
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64,
+                               ndmin=2)
+        except ValueError:
+            block = None
+        if block is None or block.shape != (len(lines), self.p):
+            self.add_rows(csv.reader(lines))
+        else:
+            self.rows += len(lines)
+            self._keep(block)
+
+    def add_rows(self, rows) -> None:
+        """csv.reader rows; empty ones (blank lines) are skipped uncounted."""
+        rows = [row for row in rows if row]
+        if not rows:
+            return
+        block = np.empty((len(rows), self.p))
+        for k, row in enumerate(rows):
+            i = self.rows
+            self.rows += 1
+            if len(row) != self.p:
+                if self.ragged is None:
+                    self.ragged = f"row {i + 2} has {len(row)} cells, header has {self.p}"
+                continue
+            bad = _parse_row(row, block[k])
+            if bad is not None and (self.bad is None or bad[0] < self.bad[0]):
+                self.bad = (bad[0], i, bad[1])
+        self._keep(block)
+
+    def _keep(self, block: np.ndarray) -> None:
+        if self.ragged is not None or self.bad is not None:
+            self.blocks.clear()
+            return
+        keep = ~np.isnan(block).any(axis=1)
+        self.dropped += block.shape[0] - int(keep.sum())
+        self.blocks.append(block if keep.all() else block[keep])
+
+
+def _response_index(header: list[str], response: str) -> int:
+    if response in header:
+        return header.index(response)
+    try:
+        y_idx = int(response)
+    except ValueError:
+        raise InputError(f"response column {response!r} not found") from None
+    if not 0 <= y_idx < len(header):
+        raise InputError(f"response index {y_idx} out of range for {len(header)} columns")
+    return y_idx
+
+
+def _read_matrix(path: str, response: str) -> tuple[list[str], int, np.ndarray, int]:
+    """The header, the response's column index, the complete rows as a float
+    matrix and the number of rows dropped for a missing value.
+
+    The body streams through in blocks of ``_BLOCK_LINES`` plain lines, each
+    one ``np.loadtxt`` call; any other line is read by ``csv.reader`` (which
+    may pull further lines for a quoted field) and ``float()``. So cells
+    parse exactly as ``float()`` does, and no list of cell strings is held.
+    The whole file is read before any fault is reported, in this order: a
+    row of the wrong length, the response column, a non-numeric cell.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
         except StopIteration:
             raise InputError(f"{path} is empty") from None
-        rows = [row for row in reader if row]
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise InputError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
-    return header, rows
-
-
-def _to_float_matrix(header: list[str], rows: list[str]) -> tuple[np.ndarray, int]:
-    """Parse cells to floats; missing tokens become NaN rows that are dropped.
-
-    A row converts in one call unless it holds a missing token or a bad
-    cell; only such rows are read cell by cell. The error names the first
-    bad cell in column-major order.
-    """
-    n, p = len(rows), len(header)
-    mat = np.empty((n, p))
-    first_bad = None  # (column, row, cell) of the bad cell to report
-    for i, row in enumerate(rows):
-        try:
-            mat[i] = np.fromiter(map(float, row), dtype=np.float64, count=p)
-            continue
-        except ValueError:
-            pass
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell.lower() in _MISSING_TOKENS:
-                mat[i, j] = np.nan
+        body = _Body(len(header))
+        plain: list[str] = []
+        for line in fh:
+            if _is_plain(line):
+                plain.append(line)
+                if len(plain) == _BLOCK_LINES:
+                    body.add_plain(plain)
+                    plain = []
                 continue
-            try:
-                mat[i, j] = float(cell)
-            except ValueError:
-                if first_bad is None or j < first_bad[0]:
-                    first_bad = (j, i, cell)
-                break
-    if first_bad is not None:
-        j, i, cell = first_bad
-        raise InputError(
-            f"column {header[j]!r} has non-numeric value {cell!r} in row {i + 2}"
-        )
-    keep = ~np.isnan(mat).any(axis=1)
-    return mat[keep], int(n - keep.sum())
+            if plain:
+                body.add_plain(plain)
+                plain = []
+            body.add_rows([next(csv.reader(itertools.chain((line,), fh)))])
+        if plain:
+            body.add_plain(plain)
+    if body.ragged is not None:
+        raise InputError(body.ragged)
+    y_idx = _response_index(header, response)
+    if body.bad is not None:
+        j, i, cell = body.bad
+        raise InputError(f"column {header[j]!r} has non-numeric value {cell!r} in row {i + 2}")
+    mat = np.concatenate(body.blocks) if body.blocks else np.empty((0, len(header)))
+    return header, y_idx, mat, body.dropped
 
 
 def _fmt(v: float) -> str:
@@ -130,27 +230,16 @@ def _fmt(v: float) -> str:
 
 
 def cmd_screen(args) -> int:
-    header, raw_rows = _read_csv_columns(args.input)
-    if args.response in header:
-        y_idx = header.index(args.response)
-    else:
-        try:
-            y_idx = int(args.response)
-        except ValueError:
-            raise InputError(f"response column {args.response!r} not found") from None
-        if not 0 <= y_idx < len(header):
-            raise InputError(f"response index {y_idx} out of range for {len(header)} columns")
-
-    mat, dropped = _to_float_matrix(header, raw_rows)
+    header, y_idx, mat, dropped = _read_matrix(args.input, args.response)
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
     if mat.shape[0] < 2:
         raise InputError("fewer than two complete rows after dropping missing values")
 
-    y = mat[:, y_idx]
-    pred_idx = [j for j in range(len(header)) if j != y_idx]
-    names = [header[j] for j in pred_idx]
-    x = mat[:, pred_idx]
+    y = mat[:, y_idx].copy()
+    x = np.delete(mat, y_idx, axis=1)
+    del mat  # x and y are copies: the parsed matrix is not held while scoring
+    names = [name for j, name in enumerate(header) if j != y_idx]
 
     if args.interactions is not None:
         subset = names if args.interactions == "all" else [
@@ -195,10 +284,9 @@ def cmd_screen(args) -> int:
     out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["rank", "column", "fused_score"] + scheme_headers) + "\n")
-        for rank, j in enumerate(top, start=1):
-            cells = [str(rank), names[j], _fmt(fused[j])]
-            cells += [_fmt(per_scheme[k, j]) for k in range(per_scheme.shape[0])]
-            fh.write(",".join(cells) + "\n")
+        rows = np.column_stack([fused, per_scheme.T])[top].tolist()
+        for rank, (j, row) in enumerate(zip(top.tolist(), rows), start=1):
+            fh.write(f"{rank},{names[j]},{','.join(map(repr, row))}\n")
     print(f"wrote {len(top)} ranked columns to {out_path}")
     return 0
 

@@ -20,7 +20,10 @@ lane while slices hold at most 255 entries) over column blocks of a fixed
 byte budget, with its float temporaries bounded by a fixed row chunk, so
 O(p * n * sum s_eff) small-integer adds.
 A caller that scores one matrix several ways builds the view once and passes
-it as ``ranked=``; the column sort is then paid once.
+it as ``ranked=``; the column sort is then paid once. ``screening.fmv_scores``
+calls the kernel over column blocks of a fixed cell budget, each reading its
+columns of that view or building its own, so the kernel's temporaries stay
+bounded however wide x grows.
 """
 
 from __future__ import annotations
@@ -73,18 +76,18 @@ class RankedColumns(NamedTuple):
 def ranked_columns(x: np.ndarray) -> RankedColumns:
     """The ranked view of a checked n-by-p matrix shared by the MV kernel and fks.
 
-    The columns are copied once into a contiguous (p, n) array and sorted
-    along its rows. Callers read ECDFs only at tie-run ends, so the order
-    within a tie run cannot change any result and the default (unstable)
-    sort serves.
+    The columns are copied once into a contiguous (p, n) array, argsorted
+    along its rows, and then sorted in place for the tie runs, so one float
+    copy of x is alive at a time. Callers read ECDFs only at tie-run ends,
+    so the order within a tie run cannot change any result and the default
+    (unstable) sort serves; -0.0 and 0.0 compare equal either way.
     """
     n = x.shape[0]
-    xt = np.ascontiguousarray(x.T)
+    xt = x.T.copy(order="C")  # never a view: it is sorted in place
     order = np.argsort(xt, axis=1)
-    xs = np.take_along_axis(xt, order, axis=1)
+    xt.sort(axis=1)
+    same = xt[:, 1:] == xt[:, :-1]
     del xt
-    same = xs[:, 1:] == xs[:, :-1]
-    del xs
     tied = np.flatnonzero(same.any(axis=1))
     same = same[tied]
     pos = np.arange(n, dtype=np.min_scalar_type(n))

@@ -20,6 +20,11 @@ from .slicing import (
     default_schemes,
 )
 
+# cells of x per kernel call: fmv_scores scores column blocks of at most this
+# many cells, which bounds the kernel's temporaries (up to about 28 bytes a
+# block cell when the block sorts its own columns, 18 with a view passed in)
+_BLOCK_CELLS = 1 << 18
+
 __all__ = [
     "ResponseKind",
     "Dataset",
@@ -139,10 +144,13 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     """Fused scores for every column of a predictor matrix.
 
     Returns (fused, per_scheme, degenerate) where per_scheme has one row per
-    scheme. Slicings depend only on y and are built once; columns are scored
-    in parallel over disjoint blocks when threads > 1, which cannot change
-    the result. ``ranked`` is x's ranked view (``mv.ranked_columns``) when
-    the caller has built it already; each block then reads its columns of it.
+    scheme. Slicings depend only on y and are built once. Columns are scored
+    over equal-width blocks of at most ``_BLOCK_CELLS`` cells each, so the
+    kernel's temporaries stay within a fixed budget at any p; ``threads``
+    maps over the same blocks, whose count is a multiple of it. Each block
+    reads its columns of ``ranked``, x's ranked view (``mv.ranked_columns``)
+    when the caller has built it already, or else sorts its own columns.
+    Every column is scored alone, so the blocking cannot change the result.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -154,22 +162,22 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         raise InputError("schemes must be nonempty")
     labels_list = labels_for_schemes(y, kind, schemes)
     degenerate = all(lab is None for lab in labels_list)
-
     n_threads = _resolve_threads(threads)
-    if n_threads <= 1 or p < 2 * n_threads:
-        per_scheme = mv_hat_columns_multi(x, labels_list, ranked=ranked)
+    # here rather than per block, so an error names x's column, not a block's
+    check_matrix(x)
+    blocks = _column_blocks(n, p, n_threads)
+
+    def score_block(block):
+        lo, hi = block
+        view = None if ranked is None else ranked.columns(lo, hi)
+        return mv_hat_columns_multi(x[:, lo:hi], labels_list, ranked=view)
+
+    if n_threads <= 1 or len(blocks) == 1:
+        scored = [score_block(block) for block in blocks]
     else:
-        per_scheme = np.zeros((len(labels_list), p))
-        blocks = _column_blocks(p, n_threads)
-
-        def score_block(block):
-            lo, hi = block
-            view = None if ranked is None else ranked.columns(lo, hi)
-            return mv_hat_columns_multi(x[:, lo:hi], labels_list, ranked=view)
-
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for (lo, hi), block in zip(blocks, pool.map(score_block, blocks)):
-                per_scheme[:, lo:hi] = block
+            scored = list(pool.map(score_block, blocks))
+    per_scheme = np.concatenate(scored, axis=1)
     return per_scheme.sum(axis=0), per_scheme, degenerate
 
 
@@ -211,6 +219,11 @@ def _resolve_threads(threads: int) -> int:
     return threads
 
 
-def _column_blocks(p: int, k: int) -> list[tuple[int, int]]:
-    step = -(-p // k)
-    return [(lo, min(lo + step, p)) for lo in range(0, p, step)]
+def _column_blocks(n: int, p: int, threads: int) -> list[tuple[int, int]]:
+    """Column ranges of widths within one of each other, each at most
+    ``_BLOCK_CELLS`` cells (one column at least), their count a multiple of
+    ``threads`` while p allows; one empty range when p is 0."""
+    most = max(1, _BLOCK_CELLS // max(n, 1))
+    count = -(-p // most)
+    count = max(1, min(p, -(-count // threads) * threads))
+    return [(b * p // count, (b + 1) * p // count) for b in range(count)]

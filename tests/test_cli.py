@@ -1,6 +1,14 @@
 from __future__ import annotations
 
+import csv
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 import fmvscreen.cli
 from fmvscreen import (
@@ -12,6 +20,7 @@ from fmvscreen import (
     screen,
 )
 from fmvscreen.cli import main
+from fmvscreen.errors import InputError
 
 
 def write_toy_csv(path, n=30, p=13, seed=0):
@@ -162,7 +171,7 @@ def test_screen_names_first_bad_cell_in_column_order(tmp_path, capsys) -> None:
         "error: column 'a' has non-numeric value 'bad' in row 4\n")
 
 
-def test_parse_missing_tokens_and_padded_numbers() -> None:
+def test_parse_missing_tokens_and_padded_numbers(tmp_path) -> None:
     header = ["resp", "a", "b"]
     rows = [[" 1.5 ", "nan", "2"],
             ["2.5", " NA ", "3"],
@@ -170,7 +179,9 @@ def test_parse_missing_tokens_and_padded_numbers() -> None:
             ["4.5", "1", "NaN"],
             ["5.5", "", "7"],
             ["6.5", "2", " 6 "]]
-    mat, dropped = fmvscreen.cli._to_float_matrix(header, rows)
+    data = tmp_path / "cells.csv"
+    data.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
+    _, _, mat, dropped = fmvscreen.cli._read_matrix(str(data), "resp")
     assert dropped == 4
     assert mat.tolist() == [[3.5, -0.25, 4.0], [6.5, 2.0, 6.0]]
 
@@ -227,3 +238,194 @@ def test_bench_cli_warns_on_degenerate_replications(tmp_path, capsys, monkeypatc
     spec = ExperimentSpec("6", n=3, p=4)
     expected = render_table_csv(run_replications(spec, ["fmv", "sis"], 1, base_seed=13))
     assert (out_dir / "table1.csv").read_text() == expected
+
+
+def reference_read(path, response):
+    """screen's parse contract, evaluated the slow way: the whole file through
+    csv.reader, then every cell through strip, the missing tokens and float().
+    Faults in order: a row of the wrong length, the response column, the
+    first non-numeric cell in column-major order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    if not records:
+        raise InputError(f"{path} is empty")
+    header, rows = records[0], [row for row in records[1:] if row]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise InputError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
+    if response in header:
+        y_idx = header.index(response)
+    else:
+        try:
+            y_idx = int(response)
+        except ValueError:
+            raise InputError(f"response column {response!r} not found") from None
+        if not 0 <= y_idx < len(header):
+            raise InputError(f"response index {y_idx} out of range for {len(header)} columns")
+    values = np.empty((len(rows), len(header)))
+    for j in range(len(header)):
+        for i, row in enumerate(rows):
+            cell = row[j].strip()
+            if cell.lower() in {"", "na", "nan", "null", "none"}:
+                values[i, j] = np.nan
+                continue
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise InputError(f"column {header[j]!r} has non-numeric value {cell!r} "
+                                 f"in row {i + 2}") from None
+    keep = ~np.isnan(values).any(axis=1)
+    return header, y_idx, values[keep], int(len(rows) - keep.sum())
+
+
+def read_outcome(reader, path, response):
+    try:
+        header, y_idx, mat, dropped = reader(str(path), response)
+    except InputError as exc:
+        return "error", str(exc)
+    return header, y_idx, mat.shape, mat.tobytes(), dropped
+
+
+PLAIN_CELLS = ["1.5", "-2", "+3e-2", "1E5", ".5", "5.", "0", "-0.0", "0.0", "7",
+               "12345678901234567890.25", "1e999", "2.5e-310"]
+OTHER_GOOD_CELLS = [" 1.5 ", '"2.5"', "inf", "-Infinity", "1_0", "\u0661\u0662", "\t3\t",
+                    '"4.5\n"', "+1.0 "]
+MISSING_CELLS = ["", "NA", " na ", "NaN", "nUlL", " None ", "nan", "\tNA"]
+BAD_CELLS = ["#", "oops", "N/A", '"1,0"', "1e", ".", "-", "e5", "1.2.3", "--1", "0x10"]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def random_csv(rng, rows, p, faults):
+    """A CSV text of ``rows`` data rows and p columns; ``faults`` is the
+    chance of a non-plain, missing, bad, ragged or blank line."""
+    header = ["y"] + [f"c{j}" for j in range(1, p)]
+    lines = [",".join(header)]
+    for _ in range(rows):
+        cells = [str(c) for c in rng.choice(PLAIN_CELLS, size=p)]
+        if rng.random() < faults:
+            kind = rng.integers(5)
+            pool = [OTHER_GOOD_CELLS, MISSING_CELLS, BAD_CELLS][min(kind, 2)]
+            cells[rng.integers(p)] = str(rng.choice(pool))
+            if kind == 3:
+                cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+            elif kind == 4:
+                lines.append(str(rng.choice(["", "  ", "\t"])))
+        lines.append(",".join(cells))
+    ending = ENDINGS[rng.integers(3)]
+    text = ending.join(lines)
+    return text + ending if rng.random() < 0.8 else text
+
+
+def test_reader_matches_reference_parser(tmp_path) -> None:
+    # rows at and around the reader's block size, with faults of every kind
+    block = fmvscreen.cli._BLOCK_LINES
+    rng = np.random.default_rng(2026)
+    outcomes = set()
+    for case in range(160):
+        rows = [block - 1, block, block + 1, 2 * block + 1, int(rng.integers(0, 9))][case % 5]
+        p = int(rng.integers(1, 6))
+        faults = [0.0, 0.02, 0.1, 0.5][case % 4]
+        path = tmp_path / f"case{case}.csv"
+        path.write_text(random_csv(rng, rows, p, faults), encoding="utf-8", newline="")
+        response = str(rng.choice(["y", "c1", "0", "1", "nope", "9"]))
+        want = read_outcome(reference_read, path, response)
+        assert read_outcome(fmvscreen.cli._read_matrix, path, response) == want, case
+        outcomes.add(want[1].split()[0] if want[0] == "error" else "ok")
+    # every fault the contract orders was met: ragged rows, the response, bad cells
+    assert {"ok", "row", "response", "column"} <= outcomes
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_reader_line_endings_blank_lines_and_quotes(tmp_path, ending) -> None:
+    lines = ["y,a,b", "1,2,3", "", "  ", '"4.5","5",6', '7,"8\n",9', "\t", "10,11,12"]
+    path = tmp_path / "mixed.csv"
+    path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
+    want = read_outcome(reference_read, path, "y")
+    assert want[0] == "error" and "row 3 has 1 cells" in want[1]
+    assert read_outcome(fmvscreen.cli._read_matrix, path, "y") == want
+    path.write_text(ending.join(lines[:3] + lines[4:6] + lines[7:]) + ending,
+                    encoding="utf-8", newline="")
+    header, y_idx, mat, dropped = fmvscreen.cli._read_matrix(str(path), "b")
+    assert (header, y_idx, dropped) == (["y", "a", "b"], 2, 0)
+    assert mat.tolist() == [[1, 2, 3], [4.5, 5, 6], [7, 8, 9], [10, 11, 12]]
+    assert read_outcome(reference_read, path, "b") == read_outcome(
+        fmvscreen.cli._read_matrix, path, "b")
+
+
+def test_screen_fault_order_ragged_then_response_then_bad_cell(tmp_path, capsys) -> None:
+    rows = [f"{i}.5,{i}.25,{i}" for i in range(70)]
+    rows[3] = "3.5,oops,3"
+    data = tmp_path / "bad.csv"
+
+    def err(response, body):
+        data.write_text("\n".join(["resp,a,b"] + body) + "\n")
+        rc = main(["screen", "--input", str(data), "--response", response,
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        return capsys.readouterr().err
+
+    assert err("resp", rows) == "error: column 'a' has non-numeric value 'oops' in row 5\n"
+    assert err("nope", rows) == "error: response column 'nope' not found\n"
+    ragged = rows[:66] + ["1,2,3,4"] + rows[66:]  # after the bad cell, in a later block
+    assert err("nope", ragged) == "error: row 68 has 4 cells, header has 3\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_screen_peak_memory_per_cell(tmp_path) -> None:
+    # x's 8 bytes a cell plus bounded blocks; reading the whole CSV as cell
+    # strings first took over 100
+    n, p = 200, 1500
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(n, p + 1))
+    data = tmp_path / "wide.csv"
+    with open(data, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["y"] + [f"x{j}" for j in range(1, p + 1)]) + "\n")
+        for row in values.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+    argv = ["screen", "--input", str(data), "--response", "y", "--threads", "1",
+            "--out", str(tmp_path / "ranked.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * p) <= 40
+
+
+def test_screen_report_is_byte_identical_to_per_cell_repr(tmp_path) -> None:
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=9)
+    ranked = tmp_path / "ranked.csv"
+    assert main(["screen", "--input", str(data), "--response", "resp", "--schemes", "3,4",
+                 "--dn", "6", "--out", str(ranked)]) == 0
+    _, _, mat, _ = fmvscreen.cli._read_matrix(str(data), "resp")
+    fused, per_scheme, _ = fmvscreen.fmv_scores(mat[:, 1:], mat[:, 0],
+                                                schemes=[3, 4])
+    order = np.argsort(-fused, kind="stable")[:6]
+    want = ["rank,column,fused_score,mv_s3,mv_s4"] + [
+        ",".join([str(r), f"c{j + 1}", repr(float(fused[j]))]
+                 + [repr(float(v)) for v in per_scheme[:, j]])
+        for r, j in enumerate(order, start=1)]
+    assert ranked.read_text() == "\n".join(want) + "\n"
+
+
+def test_screen_does_not_import_numpy_ma(tmp_path) -> None:
+    # numpy 2's first np.unique call without index outputs imports numpy.ma,
+    # about 20 ms of every fresh process
+    src = str(Path(fmvscreen.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    preloaded = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if preloaded == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=5)
+    code = ("import sys; from fmvscreen.cli import main; "
+            f"assert main(['screen', '--input', {str(data)!r}, '--response', 'resp', "
+            f"'--out', {str(tmp_path / 'r.csv')!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -120,6 +120,23 @@ def test_ranked_columns_match_bruteforce() -> None:
                 assert ranked.end[k, i] == run[-1]
 
 
+def test_ranked_columns_sorts_a_copy_and_keeps_signed_zero_runs() -> None:
+    # x.T of an F-ordered x is already contiguous, and the column sort runs
+    # in place: it must run on a copy. -0.0 and 0.0 sit in one tie run.
+    rng = np.random.default_rng(32)
+    x = np.asfortranarray(rng.normal(size=(12, 3)))
+    x[:, 1] = [0.0, -0.0, 1.5, 0.0, -1.0, -0.0, 2.0, 0.0, -0.0, 1.5, -1.0, 0.0]
+    before = x.copy()
+    ranked = ranked_columns(x)
+    assert x.tobytes() == before.tobytes() and x.flags.f_contiguous
+    assert ranked.tied.tolist() == [1]
+    xs = x[ranked.order[1], 1]
+    zeros = np.flatnonzero(xs == 0.0)
+    assert zeros.size == 7
+    assert ranked.start[0, zeros].tolist() == [zeros[0]] * 7
+    assert ranked.end[0, zeros].tolist() == [zeros[-1]] * 7
+
+
 @pytest.mark.parametrize("n, s_values", [
     (255, [3, 7]),  # positions and counts just fit one byte
     (256, [3, 7]),  # and here they no longer do

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fmvscreen.screening
 from fmvscreen import (
     Dataset,
     InputError,
@@ -12,6 +13,7 @@ from fmvscreen import (
     fmv_scores,
     screen,
 )
+from fmvscreen.mv import ranked_columns
 
 
 def make_dataset(n=60, p=5, seed=0, kind=ResponseKind.CONTINUOUS):
@@ -157,3 +159,46 @@ def test_dataset_validation() -> None:
 
 def test_default_selection_size() -> None:
     assert default_selection_size(200) == 38  # ceil(200 / log 200)
+
+
+@pytest.mark.parametrize("kind", list(ResponseKind))
+def test_fmv_column_blocks_are_bit_identical(monkeypatch, kind) -> None:
+    # a cell budget of three columns: many blocks, mapped over 1, 2 and 3
+    # threads, each reading its slice of a passed view or sorting its own
+    rng = np.random.default_rng(41)
+    n, p = 40, 23
+    x = np.round(rng.normal(size=(n, p)), 1)
+    x[:, 3] = rng.choice([-0.0, 0.0], size=n)
+    x[:, 4] = rng.choice([-0.0, 0.0, 1.0], size=n)
+    x[:, 5] = 1.0
+    y = np.round(np.abs(x[:, 0] + rng.normal(size=n)) * 2)
+    if kind is ResponseKind.CATEGORICAL:
+        y = y % 3
+    want = fmv_scores(x, y, kind, [3, 4, 5])  # one block at the default budget
+
+    kernel = fmvscreen.screening.mv_hat_columns_multi
+    widths = []
+
+    def spy(xb, labels_list, *, ranked=None):
+        widths.append(xb.shape[1])
+        return kernel(xb, labels_list, ranked=ranked)
+
+    monkeypatch.setattr(fmvscreen.screening, "mv_hat_columns_multi", spy)
+    monkeypatch.setattr(fmvscreen.screening, "_BLOCK_CELLS", 3 * n)
+    for threads in (1, 2, 3):
+        for view in (None, ranked_columns(x)):
+            widths.clear()
+            fused, per_scheme, degenerate = fmv_scores(x, y, kind, [3, 4, 5],
+                                                       threads=threads, ranked=view)
+            assert per_scheme.tobytes() == want[1].tobytes()
+            assert fused.tobytes() == want[0].tobytes() and degenerate == want[2]
+            assert sum(widths) == p and max(widths) <= 3
+            assert len(widths) % threads == 0 and max(widths) - min(widths) <= 1
+
+
+def test_fmv_blocks_name_the_bad_column_of_x(monkeypatch) -> None:
+    monkeypatch.setattr(fmvscreen.screening, "_BLOCK_CELLS", 20)
+    x = np.random.default_rng(0).normal(size=(10, 9))
+    x[3, 7] = np.nan
+    with pytest.raises(InputError, match="column 7 contains non-finite"):
+        fmv_scores(x, x[:, 0] + 1.0, schemes=[3])
