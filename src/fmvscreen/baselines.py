@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from .checks import check_matrix, check_ranked, check_response
+from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import InputError
-from .mv import RankedColumns, ranked_columns, sorted_labels
+from .mv import RankedColumns, _column_blocks, ranked_columns, sorted_labels
 from .screening import ResponseKind, labels_for_schemes
 from .slicing import SliceLabels, default_schemes, distinct_sorted
 
@@ -44,7 +44,7 @@ def pearson_scores(x: np.ndarray, y) -> np.ndarray:
 
 
 def pearson_score(x, y) -> float:
-    return float(pearson_scores(np.asarray(x, dtype=np.float64)[:, None], y)[0])
+    return float(pearson_scores(check_vector(x)[:, None], y)[0])
 
 
 # -- Kendall tau-b ----------------------------------------------------------
@@ -55,29 +55,7 @@ def _tie_pair_count(sorted_vals: np.ndarray) -> int:
     return int((runs * (runs - 1) // 2).sum())
 
 
-_RANK_BLOCK = 256
-
-
-def _dense_ranks(x: np.ndarray) -> np.ndarray:
-    """Column-wise dense ranks 1..n in the smallest unsigned type holding n.
-
-    Order and ties are kept exactly, so pairwise comparisons of ranks equal
-    those of x while reading one or two bytes per cell instead of eight.
-    """
-    n, p = x.shape
-    order = np.argsort(x, axis=0)
-    xs = np.take_along_axis(x, order, axis=0)
-    new_value = np.empty((n, p), dtype=bool)
-    new_value[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=new_value[1:])
-    del xs
-    dtype = np.min_scalar_type(n)
-    ranks = np.empty((n, p), dtype=dtype)
-    np.put_along_axis(ranks, order, np.cumsum(new_value, axis=0, dtype=dtype), axis=0)
-    return ranks
-
-
-def kendall_scores(x: np.ndarray, y) -> np.ndarray:
+def kendall_scores(x: np.ndarray, y, *, ranked: RankedColumns | None = None) -> np.ndarray:
     """|tau_b| with tie correction of y with every column; all-tied x or y scores 0.
 
     Algorithm: order the rows by y once (stable argsort) and let
@@ -87,13 +65,16 @@ def kendall_scores(x: np.ndarray, y) -> np.ndarray:
     concordant and discordant pairs among those with a strictly larger y,
     and the remaining pairs there are tied in x. Pairs tied in y are
     compared with ``==`` for their x ties, and only when y has ties. The
-    columns enter as dense ranks (``_dense_ranks``), which compare exactly
-    like the values, never as a float difference or sign matrix.
+    columns enter as competition ranks read from x's ranked view
+    (``mv.ranked_columns``): a row's rank is its sorted position, or on a
+    tied column the start of its tie run, so ranks compare exactly like the
+    values, never as a float difference or sign matrix.
 
-    Cost: O(n^2 p) comparisons in n vectorised steps, plus one column sort.
-    Extra memory is O(n p): the y-ordered ranks at one byte per cell up to
-    n = 255 (two up to 65535), plus the sort's temporaries for one block of
-    columns and one comparison mask.
+    Cost: O(n^2 p) comparisons in n vectorised steps, plus one column sort,
+    none when ``ranked`` passes the view already built and none for a
+    constant y. Extra memory is O(n p): the ranks twice, in column order and
+    in y order, at one byte per cell up to n = 255 (two up to 65535), one
+    comparison mask, and the view itself when this call builds it.
 
     Every pair count is an exact integer and the final float operations are
     the same as in the pairwise definition, so the scores are bit-identical
@@ -103,6 +84,7 @@ def kendall_scores(x: np.ndarray, y) -> np.ndarray:
     x = check_matrix(x)
     n, p = x.shape
     y = check_response(y, n)
+    check_ranked(ranked, x)
     if n < 2:
         raise InputError("need at least two observations")
     order = np.argsort(y, kind="stable")
@@ -111,12 +93,19 @@ def kendall_scores(x: np.ndarray, y) -> np.ndarray:
     ties_y = _tie_pair_count(ys)
     if ties_y == total:
         return np.zeros(p)
-    # rank in column blocks so the sort's temporaries stay small for wide p
-    xo = np.empty((n, p), dtype=np.min_scalar_type(n))
-    for c in range(0, p, _RANK_BLOCK):
-        xo[:, c:c + _RANK_BLOCK] = _dense_ranks(x[order, c:c + _RANK_BLOCK])
+    if ranked is None:
+        ranked = ranked_columns(x)
+    count = np.min_scalar_type(n)  # ranks, and per-row counts, stay below n
+    # the rank at each sorted position, scattered to the rows through order
+    sorted_ranks = np.empty((p, n), dtype=count)
+    sorted_ranks[:] = np.arange(n, dtype=count)
+    sorted_ranks[ranked.tied] = ranked.start
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, ranked.order, sorted_ranks, axis=1)
+    del ranked, sorted_ranks  # a view built here is freed before the next copy
+    xo = ranks.T[order]  # (n, p), rows in y order
+    del ranks
     first_above = np.searchsorted(ys, ys, side="right")
-    count = xo.dtype  # per-row counts stay below n
     greater = np.zeros(p, dtype=np.int64)
     smaller = np.zeros(p, dtype=np.int64)
     ties_x = np.zeros(p, dtype=np.int64)
@@ -139,10 +128,7 @@ def kendall_scores(x: np.ndarray, y) -> np.ndarray:
 
 
 def kendall_score(x, y) -> float:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError(f"expected a vector, got shape {arr.shape}")
-    return float(kendall_scores(arr[:, None], y)[0])
+    return float(kendall_scores(check_vector(x)[:, None], y)[0])
 
 
 def kendall_score_bruteforce(x, y) -> float:
@@ -203,10 +189,9 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         ranked = ranked_columns(x)
     for labels in live:
         count = np.min_scalar_type(labels.counts.max())
-        width = max(1, _COUNT_BYTES // (n * labels.s_eff * count.itemsize))
-        for lo in range(0, p, width):
-            out[lo:lo + width] += _widest_ecdf_gap(ranked.columns(lo, lo + width),
-                                                   labels, count)
+        most = _COUNT_BYTES // (n * labels.s_eff * count.itemsize)
+        for lo, hi in _column_blocks(p, most):
+            out[lo:hi] += _widest_ecdf_gap(ranked.columns(lo, hi), labels, count)
     return out
 
 
@@ -267,7 +252,4 @@ def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.nd
 
 
 def fks_score(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> float:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError(f"expected a vector, got shape {arr.shape}")
-    return float(fks_scores(arr[:, None], y, kind, schemes)[0])
+    return float(fks_scores(check_vector(x)[:, None], y, kind, schemes)[0])

@@ -88,16 +88,17 @@ def _flag_all_zero(scores):
     return scores, bool(np.all(scores == 0.0))
 
 
-# each scorer takes the dataset, the slice counts and the ranked view of x,
-# which only fmv and fks read
+# each scorer takes the dataset, the slice counts and the ranked view of x
+# (None when the scorer is to build its own), which fmv, fks and rcs read
 _SCORERS = {
     "fmv": _fmv_scorer,
     "sis": lambda ds, schemes, ranked: (pearson_scores(ds.x, ds.y), False),
-    "rcs": lambda ds, schemes, ranked: _flag_all_zero(kendall_scores(ds.x, ds.y)),
+    "rcs": lambda ds, schemes, ranked: _flag_all_zero(
+        kendall_scores(ds.x, ds.y, ranked=ranked)),
     "fks": lambda ds, schemes, ranked: _flag_all_zero(
         fks_scores(ds.x, ds.y, ds.kind, schemes, ranked=ranked)),
 }
-_READS_RANKED = frozenset({"fmv", "fks"})
+_READS_RANKED = frozenset({"fmv", "fks", "rcs"})
 
 SCREENER_NAMES = tuple(sorted(_SCORERS))
 
@@ -117,8 +118,10 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     """Benchmark every requested screener over ``reps`` replications.
 
     All screeners score the same instance within a replication (paired
-    comparison), and fmv and fks share one ranked view of its columns, built
-    once. Replication r uses the stream derived from (base_seed, r), so
+    comparison). When two or more of fmv, fks and rcs are requested they
+    share one ranked view of its columns, built once; a lone reader builds
+    its own, so the view is not held while the other screeners run.
+    Replication r uses the stream derived from (base_seed, r), so
     parallel execution is bit-reproducible.
     """
     screeners = list(screeners)
@@ -135,7 +138,7 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
 
     values = {name: np.empty(reps, dtype=np.int64) for name in screeners}
     flagged = {name: np.zeros(reps, dtype=bool) for name in screeners}
-    shares_view = not _READS_RANKED.isdisjoint(screeners)
+    shares_view = len(_READS_RANKED.intersection(screeners)) > 1
 
     def one_rep(r: int) -> None:
         instance = gen_experiment(spec, derived_rng(base_seed, r))

@@ -18,6 +18,15 @@ def check_matrix(x) -> np.ndarray:
     return x
 
 
+def check_vector(x) -> np.ndarray:
+    """``x`` as a float64 vector: the one predictor column of a single-column
+    scorer."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise InputError(f"expected a vector, got shape {x.shape}")
+    return x
+
+
 def check_response(y, n: int) -> np.ndarray:
     """``y`` as a finite float64 vector matching the n rows of the predictors."""
     y = np.asarray(y, dtype=np.float64)

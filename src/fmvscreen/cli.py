@@ -193,28 +193,35 @@ def _read_matrix(path: str, response: str) -> tuple[list[str], int, np.ndarray, 
     may pull further lines for a quoted field) and ``float()``. So cells
     parse exactly as ``float()`` does, and no list of cell strings is held.
     The whole file is read before any fault is reported, in this order: a
-    row of the wrong length, the response column, a non-numeric cell.
+    row of the wrong length, the response column, a non-numeric cell. A
+    file that is not UTF-8, or that ``csv`` cannot split (a field past its
+    size limit, say), fails at once.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise InputError(f"{path} is empty") from None
-        body = _Body(len(header))
-        plain: list[str] = []
-        for line in fh:
-            if _is_plain(line):
-                plain.append(line)
-                if len(plain) == _BLOCK_LINES:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise InputError(f"{path} is empty")
+            body = _Body(len(header))
+            plain: list[str] = []
+            for line in fh:
+                if _is_plain(line):
+                    plain.append(line)
+                    if len(plain) == _BLOCK_LINES:
+                        body.add_plain(plain)
+                        plain = []
+                    continue
+                if plain:
                     body.add_plain(plain)
                     plain = []
-                continue
+                body.add_rows([next(csv.reader(itertools.chain((line,), fh)))])
             if plain:
                 body.add_plain(plain)
-                plain = []
-            body.add_rows([next(csv.reader(itertools.chain((line,), fh)))])
-        if plain:
-            body.add_plain(plain)
+        except UnicodeDecodeError:
+            # its position counts from the decoder's chunk, not the file
+            raise InputError(f"{path} is not UTF-8 text") from None
+        except csv.Error as exc:
+            raise InputError(f"cannot read {path} as CSV: {exc}") from None
     if body.ragged is not None:
         raise InputError(body.ragged)
     y_idx = _response_index(header, response)
@@ -223,10 +230,6 @@ def _read_matrix(path: str, response: str) -> tuple[list[str], int, np.ndarray, 
         raise InputError(f"column {header[j]!r} has non-numeric value {cell!r} in row {i + 2}")
     mat = np.concatenate(body.blocks) if body.blocks else np.empty((0, len(header)))
     return header, y_idx, mat, body.dropped
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def cmd_screen(args) -> int:
@@ -303,12 +306,11 @@ def cmd_simulate(args) -> int:
     cols += [f"x{j}" for j in range(1, ds.p + 1)]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(ds.n):
-            cells = [_fmt(ds.y[i])]
-            if instance.censor_mask is not None:
-                cells.append(str(int(instance.censor_mask[i])))
-            cells += [_fmt(v) for v in ds.x[i]]
-            fh.write(",".join(cells) + "\n")
+        lead = list(map(repr, ds.y.tolist()))
+        if instance.censor_mask is not None:
+            lead = [f"{y},{int(c)}" for y, c in zip(lead, instance.censor_mask.tolist())]
+        for head, row in zip(lead, ds.x):
+            fh.write(f"{head},{','.join(map(repr, row.tolist()))}\n")
 
     active_path = out_path.with_name(out_path.stem + "_active" + out_path.suffix)
     with open(active_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -13,17 +13,19 @@ point (constant predictors and single-slice partitions included).
 The fast kernel reads each slice's ECDF only through exact integer sums over
 a shared ranked view of the columns (``ranked_columns``):
 sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
-``mv_hat_columns_multi``. It costs O(p * (n log n + n * schemes)). The fks
-baseline reads the same view: per scheme it accumulates every slice's
+``mv_hat_columns_multi``. It costs O(p * (n log n + n * schemes)). Two
+baselines read the same view. fks accumulates, per scheme, every slice's
 cumulative counts at once, S count-bytes per cell (S = s_eff, one byte per
-lane while slices hold at most 255 entries) over column blocks of a fixed
-byte budget, with its float temporaries bounded by a fixed row chunk, so
-O(p * n * sum s_eff) small-integer adds.
+lane while slices hold at most 255 entries), its float temporaries bounded
+by a fixed row chunk, so O(p * n * sum s_eff) small-integer adds. rcs
+(Kendall) takes each column's competition ranks from it: the tie-run start,
+or the sorted position on a tie-free column.
 A caller that scores one matrix several ways builds the view once and passes
-it as ``ranked=``; the column sort is then paid once. ``screening.fmv_scores``
-calls the kernel over column blocks of a fixed cell budget, each reading its
-columns of that view or building its own, so the kernel's temporaries stay
-bounded however wide x grows.
+it as ``ranked=``; the column sort is then paid once. Wide matrices go
+through ``_column_blocks``, one helper for every column-block loop, each
+caller giving its own cap on the columns in a block: ``screening.fmv_scores``
+caps the kernel's cells, fks the bytes of a scheme's counts, so neither's
+temporaries grow with p.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_matrix, check_ranked
+from .checks import check_matrix, check_ranked, check_vector
 from .errors import InputError
 from .slicing import SliceLabels
 
@@ -74,7 +76,8 @@ class RankedColumns(NamedTuple):
 
 
 def ranked_columns(x: np.ndarray) -> RankedColumns:
-    """The ranked view of a checked n-by-p matrix shared by the MV kernel and fks.
+    """The ranked view of a checked n-by-p matrix shared by the MV kernel, fks
+    and Kendall.
 
     The columns are copied once into a contiguous (p, n) array, argsorted
     along its rows, and then sorted in place for the tie runs, so one float
@@ -98,6 +101,15 @@ def ranked_columns(x: np.ndarray) -> RankedColumns:
     start = np.maximum.accumulate(np.where(starts_run, pos, 0), axis=1)
     end = np.minimum.accumulate(np.where(ends_run, pos, n)[:, ::-1], axis=1)[:, ::-1]
     return RankedColumns(order, tied, start, end)
+
+
+def _column_blocks(p: int, most: int, threads: int = 1) -> list[tuple[int, int]]:
+    """Column ranges of widths within one of each other, each at most
+    ``most`` columns (one at least), their count a multiple of ``threads``
+    while p allows; one empty range when p is 0."""
+    count = -(-p // max(1, most))
+    count = max(1, min(p, -(-count // threads) * threads))
+    return [(b * p // count, (b + 1) * p // count) for b in range(count)]
 
 
 def _exact_int(n: int):
@@ -175,10 +187,7 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
 
 def mv_hat(x, labels: SliceLabels) -> float:
     """The statistic for a single predictor column."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError(f"expected a vector, got shape {arr.shape}")
-    return float(mv_hat_columns_multi(arr[:, None], [labels])[0, 0])
+    return float(mv_hat_columns_multi(check_vector(x)[:, None], [labels])[0, 0])
 
 
 def mv_hat_bruteforce(x, labels: SliceLabels) -> float:
@@ -187,9 +196,7 @@ def mv_hat_bruteforce(x, labels: SliceLabels) -> float:
     Builds the full indicator matrix I(x_k <= x_i) and averages the squared
     ECDF gaps slice by slice, with no sorting shortcuts.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError(f"expected a vector, got shape {arr.shape}")
+    arr = check_vector(x)
     n = arr.size
     _check_labels(n, labels)
     if not np.isfinite(arr).all():

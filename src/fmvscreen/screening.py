@@ -9,9 +9,9 @@ from enum import Enum
 
 import numpy as np
 
-from .checks import check_matrix, check_ranked, check_response
+from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import DegenerateSlicesError, InputError
-from .mv import RankedColumns, mv_hat_columns_multi
+from .mv import RankedColumns, _column_blocks, mv_hat_columns_multi
 from .slicing import (
     SliceLabels,
     build_categorical_slices,
@@ -165,7 +165,7 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     n_threads = _resolve_threads(threads)
     # here rather than per block, so an error names x's column, not a block's
     check_matrix(x)
-    blocks = _column_blocks(n, p, n_threads)
+    blocks = _column_blocks(p, _BLOCK_CELLS // max(n, 1), n_threads)
 
     def score_block(block):
         lo, hi = block
@@ -183,10 +183,7 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
 
 def fmv_hat(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> FmvScore:
     """Fused score for a single predictor column."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError(f"expected a vector, got shape {arr.shape}")
-    fused, per_scheme, degenerate = fmv_scores(arr[:, None], y, kind, schemes)
+    fused, per_scheme, degenerate = fmv_scores(check_vector(x)[:, None], y, kind, schemes)
     return FmvScore(per_scheme=per_scheme[:, 0], fused=float(fused[0]),
                     degenerate=degenerate)
 
@@ -217,13 +214,3 @@ def _resolve_threads(threads: int) -> int:
 
         return os.cpu_count() or 1
     return threads
-
-
-def _column_blocks(n: int, p: int, threads: int) -> list[tuple[int, int]]:
-    """Column ranges of widths within one of each other, each at most
-    ``_BLOCK_CELLS`` cells (one column at least), their count a multiple of
-    ``threads`` while p allows; one empty range when p is 0."""
-    most = max(1, _BLOCK_CELLS // max(n, 1))
-    count = -(-p // most)
-    count = max(1, min(p, -(-count // threads) * threads))
-    return [(b * p // count, (b + 1) * p // count) for b in range(count)]

@@ -12,9 +12,12 @@ from fmvscreen import (
     build_quantile_slices,
     fks_score,
     fks_scores,
+    fmv_hat,
     fmv_scores,
     kendall_score,
     kendall_scores,
+    mv_hat,
+    mv_hat_bruteforce,
     pearson_score,
     pearson_scores,
 )
@@ -115,8 +118,8 @@ def test_kendall_bit_identical_under_row_permutation_with_tied_y() -> None:
 
 
 def test_kendall_wide_matrix_across_column_blocks() -> None:
-    # columns are ranked in blocks; columns on either side of a block edge
-    # must score as they do alone
+    # every column's ranks come from one view of the whole matrix, so the
+    # columns at and beside 256 and 512 must score as they do alone
     rng = np.random.default_rng(22)
     x = np.round(rng.normal(size=(30, 600)), 1)
     y = np.round(rng.normal(size=30), 1)
@@ -124,6 +127,30 @@ def test_kendall_wide_matrix_across_column_blocks() -> None:
     for j in (0, 255, 256, 257, 511, 512, 599):
         assert scores[j] == kendall_score(x[:, j], y)
         assert scores[j] == pytest.approx(kendall_score_bruteforce(x[:, j], y), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_kendall_at_the_rank_dtype_edge(n) -> None:
+    # ranks take one byte up to n = 255 and two from 256 on; with and
+    # without a prepared view, ties or none, the scores match the oracle
+    rng = np.random.default_rng(n)
+    x = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=(n, 3)), 1),
+                         np.full(n, 3.0)])
+    x[:, 1] = x[:, 1] + np.round(rng.normal(size=n))
+    for y in (rng.normal(size=n), np.round(x[:, 0] + rng.normal(size=n))):
+        own = kendall_scores(x, y)
+        assert np.array_equal(kendall_scores(x, y, ranked=ranked_columns(x)), own)
+        for j in range(x.shape[1]):
+            assert own[j] == pytest.approx(kendall_score_bruteforce(x[:, j], y), abs=1e-14)
+
+
+def test_kendall_constant_response_skips_the_column_sort(monkeypatch) -> None:
+    def no_sort(x):
+        raise AssertionError("a constant response needs no ranked view")
+
+    monkeypatch.setattr(fmvscreen.baselines, "ranked_columns", no_sort)
+    x = np.random.default_rng(47).normal(size=(12, 3))
+    assert np.array_equal(kendall_scores(x, np.full(12, 2.0)), np.zeros(3))
 
 
 def test_kendall_all_ties_score_zero() -> None:
@@ -295,16 +322,18 @@ def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> Non
     y = x[:, 0] + rng.normal(size=n)
     ranked = ranked_columns(x)
     own_fks = fks_scores(x, y, schemes=[3, 4])
+    own_rcs = kendall_scores(x, y)
     own = fmv_scores(x, y, schemes=[3, 4])[1]
     assert np.array_equal(fmv_scores(x, y, schemes=[3, 4], threads=2)[1], own)
 
     def no_sort(x):
         raise AssertionError("a scorer given a view sorted the columns again")
 
-    # with a view, neither scorer nor any thread block sorts again
+    # with a view, no scorer and no thread block sorts again
     monkeypatch.setattr(fmvscreen.mv, "ranked_columns", no_sort)
     monkeypatch.setattr(fmvscreen.baselines, "ranked_columns", no_sort)
     assert np.array_equal(fks_scores(x, y, schemes=[3, 4], ranked=ranked), own_fks)
+    assert np.array_equal(kendall_scores(x, y, ranked=ranked), own_rcs)
     for threads in (1, 2):
         assert np.array_equal(fmv_scores(x, y, schemes=[3, 4], threads=threads,
                                          ranked=ranked)[1], own)
@@ -318,6 +347,8 @@ def test_scorers_reject_a_ranked_view_of_another_shape(shape) -> None:
     wrong = ranked_columns(rng.normal(size=shape))
     with pytest.raises(InputError, match="ranked view"):
         fks_scores(x, y, schemes=[3], ranked=wrong)
+    with pytest.raises(InputError, match="ranked view"):
+        kendall_scores(x, y, ranked=wrong)
     for threads in (1, 2):
         with pytest.raises(InputError, match="ranked view"):
             fmv_scores(x, y, schemes=[3], threads=threads, ranked=wrong)
@@ -421,3 +452,24 @@ def test_scorers_reject_non_finite_response(name) -> None:
     y[7] = np.inf
     with pytest.raises(InputError, match="non-finite"):
         SCORERS[name](rng.normal(size=(20, 3)), y)
+
+
+# every single-column wrapper, fed the one column it expects
+WRAPPERS = {
+    "mv_hat": lambda x, y: mv_hat(x, build_quantile_slices(y, 3)),
+    "mv_hat_bruteforce": lambda x, y: mv_hat_bruteforce(x, build_quantile_slices(y, 3)),
+    "fmv_hat": lambda x, y: fmv_hat(x, y, schemes=[3]).fused,
+    "pearson_score": pearson_score,
+    "kendall_score": kendall_score,
+    "fks_score": lambda x, y: fks_score(x, y, schemes=[3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPERS))
+def test_single_column_wrappers_reject_a_matrix(name) -> None:
+    rng = np.random.default_rng(25)
+    y = rng.normal(size=20)
+    x = rng.normal(size=20)
+    assert 0.0 <= WRAPPERS[name](x, y) <= 3.0
+    with pytest.raises(InputError, match=r"^expected a vector, got shape \(20, 2\)$"):
+        WRAPPERS[name](rng.normal(size=(20, 2)), y)

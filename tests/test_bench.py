@@ -143,20 +143,25 @@ def test_summary_statistics_use_scored_replications_only(monkeypatch) -> None:
 
 
 def test_ranked_view_built_once_per_replication(monkeypatch) -> None:
+    # two or more readers (fmv, fks, rcs) share a view bench builds; a lone
+    # reader builds its own, so no view is held while sis runs
     real = fmvscreen.mv.ranked_columns
     calls = []
 
-    def counting(x):
-        calls.append(x.shape)
-        return real(x)
+    def counting_in(module):
+        def counting(x):
+            calls.append((module.__name__, x.shape))
+            return real(x)
+        return counting
 
     for module in (fmvscreen.bench, fmvscreen.mv, fmvscreen.baselines):
-        monkeypatch.setattr(module, "ranked_columns", counting)
-    run_replications(small_spec(), ["fmv", "sis", "fks"], reps=3, base_seed=2)
-    assert calls == [(60, 50)] * 3
-    calls.clear()
-    run_replications(small_spec(), ["sis", "rcs"], reps=3, base_seed=2)
-    assert calls == []
+        monkeypatch.setattr(module, "ranked_columns", counting_in(module))
+    for screeners, builder in ((["fmv", "sis", "fks"], "fmvscreen.bench"),
+                               (["fmv", "rcs", "fks"], "fmvscreen.bench"),
+                               (["sis", "rcs"], "fmvscreen.baselines")):
+        calls.clear()
+        run_replications(small_spec(), screeners, reps=3, base_seed=2)
+        assert calls == [(builder, (60, 50))] * 3, screeners
 
 
 def test_scorer_bug_propagates(monkeypatch) -> None:

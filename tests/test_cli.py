@@ -54,6 +54,21 @@ def test_simulate_deterministic_bytes(tmp_path) -> None:
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("case, seed", [("7", 3), ("1c", 0)])
+def test_simulate_bytes_are_per_cell_repr(tmp_path, case, seed) -> None:
+    # every float cell is its repr, the censoring flag 0 or 1
+    out = tmp_path / "draw.csv"
+    assert main(["simulate", "--cases", case, "--seed", str(seed), "--out", str(out)]) == 0
+    instance = gen_experiment(ExperimentSpec(id=case, seed=seed))
+    ds, mask = instance.dataset, instance.censor_mask
+    lines = [",".join(["y"] + ([] if mask is None else ["censored"])
+                      + [f"x{j}" for j in range(1, ds.p + 1)])]
+    for i in range(ds.n):
+        cells = [repr(float(ds.y[i]))] + ([] if mask is None else [str(int(mask[i]))])
+        lines.append(",".join(cells + [repr(float(v)) for v in ds.x[i]]))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_simulate_linear_case_shape(tmp_path) -> None:
     out = tmp_path / "exp1a.csv"
     assert main(["simulate", "--cases", "1a", "--seed", "1", "--out", str(out)]) == 0
@@ -184,6 +199,35 @@ def test_parse_missing_tokens_and_padded_numbers(tmp_path) -> None:
     _, _, mat, dropped = fmvscreen.cli._read_matrix(str(data), "resp")
     assert dropped == 4
     assert mat.tolist() == [[3.5, -0.25, 4.0], [6.5, 2.0, 6.0]]
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_screen_rejects_a_file_that_is_not_utf8(tmp_path, capsys, where) -> None:
+    # the body fault sits past the first read-ahead chunk, inside the
+    # streamed rows rather than in the text decoded with the header
+    data = tmp_path / "latin1.csv"
+    rows = [b"1.0,2.0,3.0\n"] * 2000
+    if where == "header":
+        data.write_bytes(b"resp,caf\xe9,b\n" + b"".join(rows))
+    else:
+        data.write_bytes(b"resp,a,b\n" + b"".join(rows) + b"2.0,caf\xe9,1.0\n")
+    rc = main(["screen", "--input", str(data), "--response", "resp",
+               "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {data} is not UTF-8 text\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_screen_rejects_a_cell_past_the_csv_field_limit(tmp_path, capsys) -> None:
+    data = tmp_path / "long.csv"
+    data.write_text("resp,a,b\n1.0,2.0,3.0\n" + f'2.0,"{"9" * 140000}",1.0\n'
+                    + "3.0,1.0,2.0\n")
+    rc = main(["screen", "--input", str(data), "--response", "resp",
+               "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(data) in err and "field limit" in err
 
 
 def test_screen_missing_response_column(tmp_path, capsys) -> None:
