@@ -9,7 +9,7 @@ import numpy as np
 
 from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import InputError
-from .mv import RankedColumns, _column_blocks, ranked_columns, sorted_labels
+from .mv import RankedColumns, _column_blocks, competition_ranks, ranked_columns
 from .screening import ResponseKind, labels_for_schemes
 from .slicing import SliceLabels, default_schemes, distinct_sorted
 
@@ -61,18 +61,20 @@ def kendall_scores(x: np.ndarray, y, *, ranked: RankedColumns | None = None) -> 
     Algorithm: order the rows by y once (stable argsort) and let
     ``first_above[i]`` be the first row whose y is strictly larger than row
     i's. For each row i, compare rows ``first_above[i]:`` with row i over
-    all columns at once, with boolean ``>`` and ``<``: column sums give the
-    concordant and discordant pairs among those with a strictly larger y,
-    and the remaining pairs there are tied in x. Pairs tied in y are
-    compared with ``==`` for their x ties, and only when y has ties. The
-    columns enter as competition ranks read from x's ranked view
-    (``mv.ranked_columns``): a row's rank is its sorted position, or on a
-    tied column the start of its tie run, so ranks compare exactly like the
-    values, never as a float difference or sign matrix.
+    all columns at once, with one boolean ``>``: column sums give the
+    concordant pairs among those with a strictly larger y. Pairs tied in x
+    come from x's ranked view (``mv.ranked_columns``): a sorted position
+    lies ``position - start`` places into its tie run, and these sum to the
+    column's x-tied pairs. Pairs tied in both are counted with ``==`` over
+    the rows tied in y, and only when y has ties. The discordant pairs are
+    then the pairs with a larger y that are neither concordant nor tied in
+    x. The columns enter as competition ranks (``mv.competition_ranks``),
+    which compare exactly like the values, never as a float difference or
+    sign matrix.
 
-    Cost: O(n^2 p) comparisons in n vectorised steps, plus one column sort,
-    none when ``ranked`` passes the view already built and none for a
-    constant y. Extra memory is O(n p): the ranks twice, in column order and
+    Cost: at most n (n - 1) p / 2 comparisons in n vectorised steps, plus
+    one column sort, none when ``ranked`` passes the view already built and
+    none for a constant y. Extra memory is O(n p): the ranks twice, in column order and
     in y order, at one byte per cell up to n = 255 (two up to 65535), one
     comparison mask, and the view itself when this call builds it.
 
@@ -95,31 +97,27 @@ def kendall_scores(x: np.ndarray, y, *, ranked: RankedColumns | None = None) -> 
         return np.zeros(p)
     if ranked is None:
         ranked = ranked_columns(x)
-    count = np.min_scalar_type(n)  # ranks, and per-row counts, stay below n
-    # the rank at each sorted position, scattered to the rows through order
-    sorted_ranks = np.empty((p, n), dtype=count)
-    sorted_ranks[:] = np.arange(n, dtype=count)
-    sorted_ranks[ranked.tied] = ranked.start
-    ranks = np.empty_like(sorted_ranks)
-    np.put_along_axis(ranks, ranked.order, sorted_ranks, axis=1)
-    del ranked, sorted_ranks  # a view built here is freed before the next copy
-    xo = ranks.T[order]  # (n, p), rows in y order
-    del ranks
-    first_above = np.searchsorted(ys, ys, side="right")
-    greater = np.zeros(p, dtype=np.int64)
-    smaller = np.zeros(p, dtype=np.int64)
     ties_x = np.zeros(p, dtype=np.int64)
+    ties_x[ranked.tied] = (np.arange(n) - ranked.start).sum(axis=1)
+    xo = competition_ranks(ranked).T[order]  # (n, p), rows in y order
+    del ranked  # a view built here is freed before the comparisons
+    count = np.min_scalar_type(n)  # per-row counts stay below n
+    first_above = np.searchsorted(ys, ys, side="right")
+    mask = np.empty((n, p), dtype=bool)
+    hits = mask.view(np.uint8)
+    greater = np.zeros(p, dtype=np.int64)
+    ties_both = np.zeros(p, dtype=np.int64)
     pairs_above = 0
     for i in range(n - 1):
         lo = first_above[i]
         if lo < n:
-            above = xo[lo:]
-            greater += np.sum(above > xo[i], axis=0, dtype=count)
-            smaller += np.sum(above < xo[i], axis=0, dtype=count)
+            np.greater(xo[lo:], xo[i], out=mask[lo:])
+            greater += np.add.reduce(hits[lo:], axis=0, dtype=count)
             pairs_above += n - lo
         if lo > i + 1:
-            ties_x += np.sum(xo[i + 1:lo] == xo[i], axis=0, dtype=count)
-    ties_x += pairs_above - greater - smaller
+            np.equal(xo[i + 1:lo], xo[i], out=mask[i + 1:lo])
+            ties_both += np.add.reduce(hits[i + 1:lo], axis=0, dtype=count)
+    smaller = pairs_above - greater - (ties_x - ties_both)
     denom = np.sqrt((total - ties_x).astype(np.float64) * float(total - ties_y))
     out = np.zeros(p)
     live = denom != 0.0
@@ -209,7 +207,8 @@ def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.nd
     counts are reduced in integers per slice size, and each size divides
     once.
     """
-    gs = sorted_labels(ranked, labels)
+    # (p, n) slice labels in each column's sorted order
+    gs = labels.g.astype(np.min_scalar_type(labels.s_eff))[ranked.order]
     p, n = gs.shape
     sizes = labels.counts
     lanes = np.arange(1, sizes.size + 1, dtype=gs.dtype)

@@ -13,13 +13,15 @@ point (constant predictors and single-slice partitions included).
 The fast kernel reads each slice's ECDF only through exact integer sums over
 a shared ranked view of the columns (``ranked_columns``):
 sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
-``mv_hat_columns_multi``. It costs O(p * (n log n + n * schemes)). Two
-baselines read the same view. fks accumulates, per scheme, every slice's
-cumulative counts at once, S count-bytes per cell (S = s_eff, one byte per
-lane while slices hold at most 255 entries), its float temporaries bounded
-by a fixed row chunk, so O(p * n * sum s_eff) small-integer adds. rcs
-(Kendall) takes each column's competition ranks from it: the tie-run start,
-or the sorted position on a tie-free column.
+``mv_hat_columns_multi``, where b_k is a competition rank
+(``competition_ranks``: the tie-run start, or the sorted position on a
+tie-free column). Per scheme it sorts one small unsigned key per cell, so it
+costs O(p * n log n * (1 + schemes)). Two baselines read the same view. fks
+accumulates, per scheme, every slice's cumulative counts at once, S
+count-bytes per cell (S = s_eff, one byte per lane while slices hold at most
+255 entries), its float temporaries bounded by a fixed row chunk, so
+O(p * n * sum s_eff) small-integer adds. rcs (Kendall) compares the same
+competition ranks, and counts the pairs tied in x from the view's tie runs.
 A caller that scores one matrix several ways builds the view once and passes
 it as ``ranked=``; the column sort is then paid once. Wide matrices go
 through ``_column_blocks``, one helper for every column-block loop, each
@@ -40,11 +42,11 @@ from .slicing import SliceLabels
 
 __all__ = [
     "RankedColumns",
+    "competition_ranks",
     "mv_hat",
     "mv_hat_bruteforce",
     "mv_hat_columns_multi",
     "ranked_columns",
-    "sorted_labels",
 ]
 
 
@@ -118,11 +120,19 @@ def _exact_int(n: int):
     return np.int64 if n ** 3 <= np.iinfo(np.int64).max else object
 
 
-def sorted_labels(ranked: RankedColumns, labels: SliceLabels) -> np.ndarray:
-    """(p, n) slice labels in each column's sorted order, in the smallest
-    unsigned dtype that holds them."""
-    g = labels.g.astype(np.min_scalar_type(labels.s_eff))
-    return g[ranked.order]
+def competition_ranks(ranked: RankedColumns) -> np.ndarray:
+    """(p, n) competition ranks of every row in every column of the view: the
+    start of the row's tie run, or its sorted position in a tie-free column,
+    in the smallest unsigned dtype that holds n. Ranks compare exactly like
+    the values, and equal values share one rank."""
+    p, n = ranked.order.shape
+    count = np.min_scalar_type(n)
+    sorted_ranks = np.empty((p, n), dtype=count)
+    sorted_ranks[:] = np.arange(n, dtype=count)
+    sorted_ranks[ranked.tied] = ranked.start
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, ranked.order, sorted_ranks, axis=1)
+    return ranks
 
 
 def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
@@ -139,17 +149,21 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     run starts at b_k is counted by the n - b_k positions from b_k on, and
     adds 2 r_k + 1 to c_s^2 there, so
 
-        sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k).
+        sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k)
+                         = n size_s^2 - sum_{k in s} (2 r_k + 1) b_k.
 
-    One stable sort of a column's sorted labels (a radix sort, since the
-    labels are small unsigned integers) lists each slice's sorted positions
-    in order, so r_k is the offset from the slice's start. Both sums are
-    exact integers, the order within a tie run cancels out, and the scores
-    are bit-identical under row permutation. Cost: one column sort, then per
-    slicing one label gather, one small-int sort and one segmented sum, so
-    O(p * (n log n + n * len(labels_list))), the sort skipped when
-    ``ranked`` passes the view of x already built. Entries of
-    ``labels_list`` may be None (degenerate slicing), contributing a zero row.
+    b_k is the competition rank of entry k (``competition_ranks``). Per
+    slicing, each row's key (g - 1) n + b, with g its slice label, is sorted
+    along the column in place: the keys list slice 1's run starts in
+    ascending order, then slice 2's, and so on, so r_k is the offset from
+    the slice's start and subtracting the slice's (g - 1) n gives b_k back.
+    Both sums are exact integers, the order within a tie run cancels out,
+    and the scores are bit-identical under row permutation. Cost: one column
+    sort and one rank scatter, then per slicing one sort of small unsigned
+    keys and one segmented sum, so O(p * (n log n) * (1 + len(labels_list))),
+    the column sort skipped when ``ranked`` passes the view of x already
+    built. Entries of ``labels_list`` may be None (degenerate slicing),
+    contributing a zero row.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -167,19 +181,26 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     # sum_i (t_i + 1)^2: sum of squares 1..n in a tie-free column
     f_sq = np.full(p, n * (n + 1) * (2 * n + 1) // 6, dtype=exact)
     f_sq[ranked.tied] = np.square(ranked.end.astype(exact) + 1).sum(axis=1)
+    ranks = competition_ranks(ranked)
+    del ranked
+    # each (2 r + 1) b is below 2 n^2
+    product = np.empty((p, n), dtype=np.min_scalar_type(2 * n * n))
     for k, labels in enumerate(labels_list):
         if labels is None or labels.s_eff == 1:
             continue
         sizes = labels.counts.astype(exact)
         first = np.concatenate(([0], np.cumsum(labels.counts)[:-1]))
+        key = np.min_scalar_type(labels.s_eff * n)
+        offsets = np.arange(0, labels.s_eff * n, n, dtype=key)
+        keys = np.add(ranks, offsets[labels.g - 1], dtype=key)
+        keys.sort(axis=1)
+        keys -= np.repeat(offsets, labels.counts)
         # 2 r + 1 at each place of the slice-by-slice listing
         weight = 2 * (np.arange(n) - np.repeat(first, labels.counts)) + 1
-        run_start = np.argsort(sorted_labels(ranked, labels), axis=1, kind="stable")
-        run_start[ranked.tied] = np.take_along_axis(ranked.start, run_start[ranked.tied],
-                                                    axis=1)
         # sum_{k in s} (2 r_k + 1) b_k, then n size_s^2 minus it
-        run_start = run_start.astype(exact, copy=False)
-        dot = np.add.reduceat(np.multiply(run_start, weight, out=run_start), first, axis=1)
+        np.multiply(keys, weight.astype(product.dtype), out=product)
+        del keys
+        dot = np.add.reduceat(product, first, axis=1, dtype=exact)
         sq_counts = n * sizes * sizes - dot
         out[k] = ((sq_counts / sizes).sum(axis=1) - f_sq / n) / (n * n)
     return out

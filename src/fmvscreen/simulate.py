@@ -60,7 +60,8 @@ def sample_mvn(n: int, p: int, cov: CovarianceSpec, rng: np.random.Generator) ->
 
     The ar case uses the lag-one recursion x_j = rho * x_{j-1} +
     sqrt(1 - rho^2) * z_j, which realizes the rho^|j-k| covariance exactly in
-    O(n*p) without any p-by-p factorization.
+    O(n*p) without any p-by-p factorization. It runs over the contiguous
+    rows of a transposed copy, one column of x per row.
     """
     z = rng.standard_normal((n, p))
     if cov.kind == "identity":
@@ -69,12 +70,15 @@ def sample_mvn(n: int, p: int, cov: CovarianceSpec, rng: np.random.Generator) ->
         return math.sqrt(cov.param) * z
     if cov.kind == "ar":
         rho = cov.param
-        x = np.empty((n, p))
-        x[:, 0] = z[:, 0]
         scale = math.sqrt(1.0 - rho * rho)
+        xt = z.T.copy()  # (p, n)
+        del z
+        xt[1:] *= scale
+        tmp = np.empty(n)
         for j in range(1, p):
-            x[:, j] = rho * x[:, j - 1] + scale * z[:, j]
-        return x
+            np.multiply(xt[j - 1], rho, out=tmp)
+            np.add(tmp, xt[j], out=xt[j])
+        return np.ascontiguousarray(xt.T)
     raise InputError(f"unknown covariance kind {cov.kind!r}")
 
 

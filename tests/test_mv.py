@@ -11,7 +11,7 @@ from fmvscreen import (
     mv_hat,
     mv_hat_bruteforce,
 )
-from fmvscreen.mv import mv_hat_columns_multi, ranked_columns
+from fmvscreen.mv import competition_ranks, mv_hat_columns_multi, ranked_columns
 from fmvscreen.slicing import SliceLabels
 
 
@@ -135,6 +135,22 @@ def test_ranked_columns_sorts_a_copy_and_keeps_signed_zero_runs() -> None:
     assert zeros.size == 7
     assert ranked.start[0, zeros].tolist() == [zeros[0]] * 7
     assert ranked.end[0, zeros].tolist() == [zeros[-1]] * 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+def test_competition_ranks_match_bruteforce(n) -> None:
+    # a row's rank is the count of strictly smaller values in its column, in
+    # the smallest unsigned dtype holding n (one byte to n = 255)
+    rng = np.random.default_rng(41 + n)
+    x = rng.normal(size=(n, 5))
+    x[:, 1] = np.round(x[:, 1], 1)
+    x[:, 2] = rng.choice([-0.0, 0.0, 1.0], size=n)
+    x[:, 3] = 1.5
+    ranks = competition_ranks(ranked_columns(x))
+    assert ranks.shape == (5, n)
+    assert ranks.dtype == np.min_scalar_type(n)
+    expect = (x[None, :, :] < x[:, None, :]).sum(axis=1).T
+    assert np.array_equal(ranks, expect)
 
 
 @pytest.mark.parametrize("n, s_values", [

@@ -1,0 +1,113 @@
+"""Property tests for the rank kernels: Kendall and the MV kernel against
+their O(n^2) oracles, and bit-identity under row permutation, over tied,
+tiny (n = 2, 3), count and categorical inputs with -0.0 next to 0.0."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from fmvscreen import ResponseKind, mv_hat_bruteforce  # noqa: E402
+from fmvscreen.baselines import kendall_score_bruteforce, kendall_scores  # noqa: E402
+from fmvscreen.mv import mv_hat_columns_multi, ranked_columns  # noqa: E402
+from fmvscreen.screening import labels_for_schemes  # noqa: E402
+from fmvscreen.slicing import SliceLabels  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+# few distinct values, so ties are common, with -0.0 next to 0.0
+TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0])
+FREE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+COUNTS = st.integers(0, 4).map(float)
+SIZES = st.one_of(st.sampled_from([2, 3]), st.integers(2, 40))
+
+
+@st.composite
+def columns(draw, n: int) -> np.ndarray:
+    elements = draw(st.sampled_from([TIED, FREE, st.one_of(TIED, FREE), COUNTS]))
+    return draw(arrays(np.float64, n, elements=elements))
+
+
+@st.composite
+def matrices(draw) -> np.ndarray:
+    n = draw(SIZES)
+    p = draw(st.integers(1, 4))
+    return np.column_stack([draw(columns(n)) for _ in range(p)])
+
+
+@st.composite
+def kendall_cases(draw):
+    x = draw(matrices())
+    return x, draw(columns(x.shape[0]))
+
+
+@st.composite
+def mv_cases(draw):
+    """A matrix and a list of live slicings of its rows: quantile slices of a
+    (possibly tied) response, count slices, or categorical labels."""
+    x = draw(matrices())
+    n = x.shape[0]
+    source = draw(st.sampled_from(["quantile", "count", "categorical"]))
+    if source == "categorical":
+        raw = draw(arrays(np.int64, n, elements=st.integers(0, min(n, 7))))
+        _, g = np.unique(raw, return_inverse=True)
+        labels_list = [SliceLabels(g=g + 1, counts=np.bincount(g))]
+    else:
+        kind = ResponseKind.COUNT if source == "count" else ResponseKind.CONTINUOUS
+        y = draw(columns(n)) if source == "quantile" else draw(
+            arrays(np.float64, n, elements=COUNTS))
+        schemes = draw(st.lists(st.integers(2, n), min_size=1, max_size=3))
+        labels_list = labels_for_schemes(y, kind, schemes)
+    live = [lab for lab in labels_list if lab is not None]
+    return x, live
+
+
+def permuted(labels: SliceLabels, perm: np.ndarray) -> SliceLabels:
+    return SliceLabels(g=labels.g[perm], counts=labels.counts)
+
+
+@SETTINGS
+@given(kendall_cases())
+def test_kendall_matches_pairwise_oracle(case) -> None:
+    x, y = case
+    scores = kendall_scores(x, y)
+    for j in range(x.shape[1]):
+        assert abs(scores[j] - kendall_score_bruteforce(x[:, j], y)) <= 1e-12
+
+
+@SETTINGS
+@given(mv_cases())
+def test_mv_kernel_matches_bruteforce(case) -> None:
+    x, labels_list = case
+    got = mv_hat_columns_multi(x, labels_list)
+    for k, labels in enumerate(labels_list):
+        for j in range(x.shape[1]):
+            assert abs(got[k, j] - mv_hat_bruteforce(x[:, j], labels)) <= 1e-12
+
+
+@SETTINGS
+@given(kendall_cases(), st.randoms(use_true_random=False))
+def test_kendall_bit_identical_under_row_permutation(case, rnd) -> None:
+    x, y = case
+    perm = np.array(rnd.sample(range(x.shape[0]), x.shape[0]))
+    base = kendall_scores(x, y).tobytes()
+    assert kendall_scores(x, y, ranked=ranked_columns(x)).tobytes() == base
+    assert kendall_scores(x[perm], y[perm]).tobytes() == base
+    assert kendall_scores(x[perm], y[perm], ranked=ranked_columns(x[perm])).tobytes() == base
+
+
+@SETTINGS
+@given(mv_cases(), st.randoms(use_true_random=False))
+def test_mv_kernel_bit_identical_under_row_permutation(case, rnd) -> None:
+    x, labels_list = case
+    perm = np.array(rnd.sample(range(x.shape[0]), x.shape[0]))
+    moved = [permuted(labels, perm) for labels in labels_list]
+    base = mv_hat_columns_multi(x, labels_list).tobytes()
+    assert mv_hat_columns_multi(x, labels_list, ranked=ranked_columns(x)).tobytes() == base
+    assert mv_hat_columns_multi(x[perm], moved).tobytes() == base
+    assert mv_hat_columns_multi(x[perm], moved,
+                                ranked=ranked_columns(x[perm])).tobytes() == base

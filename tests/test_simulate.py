@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,22 @@ def test_sample_mvn_ar_lag_one_correlation() -> None:
     assert abs(corr[0, 1] - 0.8) < 0.03
     assert abs(corr[2, 3] - 0.8) < 0.03
     assert abs(corr[0, 2] - 0.64) < 0.03  # two steps apart: 0.8^2
+
+
+@pytest.mark.parametrize("n, p", [(200, 300), (40, 1000), (50, 17), (3, 1), (1, 4)])
+def test_sample_mvn_ar_bytes_match_the_column_recursion(n, p) -> None:
+    # the recursion runs over rows of a transposed copy; the float operations
+    # are those of x_j = rho * x_{j-1} + scale * z_j column by column
+    rho = 0.8
+    x = sample_mvn(n, p, CovarianceSpec.ar(rho), np.random.default_rng(9))
+    z = np.random.default_rng(9).standard_normal((n, p))
+    expect = np.empty((n, p))
+    expect[:, 0] = z[:, 0]
+    scale = math.sqrt(1.0 - rho * rho)
+    for j in range(1, p):
+        expect[:, j] = rho * expect[:, j - 1] + scale * z[:, j]
+    assert x.flags.c_contiguous
+    assert x.tobytes() == expect.tobytes()
 
 
 def test_sample_mvn_diagonal_variance() -> None:
