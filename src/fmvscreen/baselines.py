@@ -9,7 +9,7 @@ import numpy as np
 
 from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import InputError
-from .mv import RankedColumns, _column_blocks, competition_ranks, ranked_columns
+from .mv import _column_blocks, ranked_columns, tie_starts
 from .screening import ResponseKind, labels_for_schemes
 from .slicing import SliceLabels, default_schemes, distinct_sorted
 
@@ -55,28 +55,28 @@ def _tie_pair_count(sorted_vals: np.ndarray) -> int:
     return int((runs * (runs - 1) // 2).sum())
 
 
-def kendall_scores(x: np.ndarray, y, *, ranked: RankedColumns | None = None) -> np.ndarray:
+def kendall_scores(x: np.ndarray, y, *, ranked: np.ndarray | None = None) -> np.ndarray:
     """|tau_b| with tie correction of y with every column; all-tied x or y scores 0.
 
     Algorithm: order the rows by y once (stable argsort) and let
     ``first_above[i]`` be the first row whose y is strictly larger than row
     i's. For each row i, compare rows ``first_above[i]:`` with row i over
     all columns at once, with one boolean ``>``: column sums give the
-    concordant pairs among those with a strictly larger y. Pairs tied in x
-    come from x's ranked view (``mv.ranked_columns``): a sorted position
-    lies ``position - start`` places into its tie run, and these sum to the
-    column's x-tied pairs. Pairs tied in both are counted with ``==`` over
-    the rows tied in y, and only when y has ties. The discordant pairs are
-    then the pairs with a larger y that are neither concordant nor tied in
-    x. The columns enter as competition ranks (``mv.competition_ranks``),
-    which compare exactly like the values, never as a float difference or
-    sign matrix.
+    concordant pairs among those with a strictly larger y. The columns enter
+    as x's ranked view (``mv.ranked_columns``), competition ranks that
+    compare exactly like the values, never as a float difference or sign
+    matrix. A rank is the start of its row's tie run, and a sorted position
+    lies ``position - rank`` places into its run, so a column's x-tied pairs
+    are n (n - 1) / 2 less its rank sum. Pairs tied in both are counted with
+    ``==`` over the rows tied in y, and only when y has ties. The discordant
+    pairs are then the pairs with a larger y that are neither concordant nor
+    tied in x.
 
     Cost: at most n (n - 1) p / 2 comparisons in n vectorised steps, plus
     one column sort, none when ``ranked`` passes the view already built and
-    none for a constant y. Extra memory is O(n p): the ranks twice, in column order and
-    in y order, at one byte per cell up to n = 255 (two up to 65535), one
-    comparison mask, and the view itself when this call builds it.
+    none for a constant y. Extra memory is O(n p): the ranks twice, in
+    column order and in y order, at one byte per cell up to n = 255 (two up
+    to 65535), and one comparison mask.
 
     Every pair count is an exact integer and the final float operations are
     the same as in the pairwise definition, so the scores are bit-identical
@@ -97,9 +97,8 @@ def kendall_scores(x: np.ndarray, y, *, ranked: RankedColumns | None = None) -> 
         return np.zeros(p)
     if ranked is None:
         ranked = ranked_columns(x)
-    ties_x = np.zeros(p, dtype=np.int64)
-    ties_x[ranked.tied] = (np.arange(n) - ranked.start).sum(axis=1)
-    xo = competition_ranks(ranked).T[order]  # (n, p), rows in y order
+    ties_x = total - ranked.sum(axis=1, dtype=np.int64)
+    xo = ranked.T[order]  # (n, p), rows in y order
     del ranked  # a view built here is freed before the comparisons
     count = np.min_scalar_type(n)  # per-row counts stay below n
     first_above = np.searchsorted(ys, ys, side="right")
@@ -160,17 +159,20 @@ _COUNT_BYTES = 1 << 26
 
 
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
-               schemes=None, *, ranked: RankedColumns | None = None) -> np.ndarray:
+               schemes=None, *, ranked: np.ndarray | None = None) -> np.ndarray:
     """Per scheme, the largest Kolmogorov distance between any two per-slice
     conditional ECDFs of a column, summed over schemes.
 
-    Cost: one column sort shared by all schemes (none when ``ranked`` passes
-    x's ranked view, ``mv.ranked_columns``, already built), then per scheme
-    O(p * n * s_eff) small-integer adds and O(p * n * sizes) float divisions,
-    where ``sizes`` counts the scheme's distinct slice sizes. Memory: s_eff
-    count-bytes per cell for the per-slice counts (two per lane once a slice
-    holds more than 255 entries), at most ``_COUNT_BYTES`` at a time, with
-    the float temporaries bounded by ``_ROW_CHUNK`` rows.
+    Cost: one column sort for x's ranked view (``mv.ranked_columns``; none
+    when ``ranked`` passes it already built), then per column block one
+    radix argsort of the ranks and the tie runs of ``mv.tie_starts``, shared
+    by all schemes, and per scheme O(p * n * s_eff) small-integer adds and
+    O(p * n * sizes) float divisions, where ``sizes`` counts the scheme's
+    distinct slice sizes. Memory: s_eff count-bytes per cell for the
+    per-slice counts (two per lane once a slice holds more than 255
+    entries), at most ``_COUNT_BYTES`` for the scheme with the most, so
+    every scheme fits the same column blocks; 8 bytes per block cell for the
+    sort order; float temporaries bounded by ``_ROW_CHUNK`` rows.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -185,17 +187,26 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         return out
     if ranked is None:
         ranked = ranked_columns(x)
-    for labels in live:
-        count = np.min_scalar_type(labels.counts.max())
-        most = _COUNT_BYTES // (n * labels.s_eff * count.itemsize)
-        for lo, hi in _column_blocks(p, most):
-            out[lo:hi] += _widest_ecdf_gap(ranked.columns(lo, hi), labels, count)
+    count_types = [np.min_scalar_type(labels.counts.max()) for labels in live]
+    most = min(_COUNT_BYTES // (n * labels.s_eff * count.itemsize)
+               for labels, count in zip(live, count_types))
+    for lo, hi in _column_blocks(p, most):
+        order = np.argsort(ranked[lo:hi], axis=1, kind="stable")
+        tied, starts = tie_starts(ranked[lo:hi])
+        # on tied columns only a tie run's last position holds the ECDF there
+        inside_run = np.zeros(starts.shape, dtype=bool)
+        np.equal(starts[:, 1:], starts[:, :-1], out=inside_run[:, :-1])
+        del starts
+        for labels, count in zip(live, count_types):
+            out[lo:hi] += _widest_ecdf_gap(order, tied, inside_run, labels, count)
     return out
 
 
-def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.ndarray:
-    """Per column of the view, the largest gap between two slices' ECDFs over
-    the sorted positions that end a tie run.
+def _widest_ecdf_gap(order: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
+                     labels: SliceLabels, count) -> np.ndarray:
+    """Per column of a block whose rows ``order`` sort, the largest gap
+    between two slices' ECDFs over the sorted positions that end a tie run:
+    every position but, on the columns ``tied``, those ``inside_run``.
 
     Every slice's cumulative counts are built at once in an (n, s_eff, p)
     array of dtype ``count``, one contiguous add per sorted position. Two
@@ -208,7 +219,7 @@ def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.nd
     once.
     """
     # (p, n) slice labels in each column's sorted order
-    gs = labels.g.astype(np.min_scalar_type(labels.s_eff))[ranked.order]
+    gs = labels.g.astype(np.min_scalar_type(labels.s_eff))[order]
     p, n = gs.shape
     sizes = labels.counts
     lanes = np.arange(1, sizes.size + 1, dtype=gs.dtype)
@@ -220,8 +231,6 @@ def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.nd
         np.add(counts[t - 1], counts[t], out=counts[t])
     groups = [(size, np.flatnonzero(sizes == size))
               for size in distinct_sorted(np.sort(sizes))]
-    # on tied columns only a tie run's last position holds the ECDF there
-    inside_run = ranked.end != np.arange(n)
 
     widest = np.zeros(p)
     rows = min(n, _ROW_CHUNK)
@@ -243,9 +252,8 @@ def _widest_ecdf_gap(ranked: RankedColumns, labels: SliceLabels, count) -> np.nd
                 np.divide(bottom, size, out=f_k)
             np.minimum(lo_k, f_k, out=lo_k)
         hi_k -= lo_k
-        if ranked.tied.size:
-            hi_k[:, ranked.tied] = np.where(inside_run[:, r0:r0 + k].T, 0.0,
-                                            hi_k[:, ranked.tied])
+        if tied.size:
+            hi_k[:, tied] = np.where(inside_run[:, r0:r0 + k].T, 0.0, hi_k[:, tied])
         np.maximum(widest, hi_k.max(axis=0), out=widest)
     return widest
 

@@ -38,10 +38,10 @@ def check_response(y, n: int) -> np.ndarray:
 
 
 def check_ranked(ranked, x: np.ndarray) -> None:
-    """Rejects a prepared ranked view (``mv.RankedColumns``) whose shape does
+    """Rejects a prepared ranked view (``mv.ranked_columns``) whose shape does
     not match the n-by-p matrix x; None (no view) passes."""
     n, p = x.shape
-    if ranked is not None and ranked.order.shape != (p, n):
-        cols, rows = ranked.order.shape
+    if ranked is not None and ranked.shape != (p, n):
+        cols, rows = ranked.shape
         raise InputError(f"ranked view covers {cols} columns of {rows} rows, "
                          f"predictor has {p} columns of {n} rows")

@@ -233,6 +233,8 @@ def _read_matrix(path: str, response: str) -> tuple[list[str], int, np.ndarray, 
 
 
 def cmd_screen(args) -> int:
+    if args.dn is not None and args.dn < 1:
+        raise InputError(f"--dn must be at least 1, got {args.dn}")
     header, y_idx, mat, dropped = _read_matrix(args.input, args.response)
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)

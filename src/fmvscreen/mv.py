@@ -11,28 +11,29 @@ every conditional ECDF agrees with the unconditional one at every sample
 point (constant predictors and single-slice partitions included).
 
 The fast kernel reads each slice's ECDF only through exact integer sums over
-a shared ranked view of the columns (``ranked_columns``):
+a ranked view of the columns (``ranked_columns``): one (p, n) array of
+competition ranks, each cell the start of its tie run in the column's sorted
+order, one byte per cell up to n = 255 and two up to 65535.
 sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
-``mv_hat_columns_multi``, where b_k is a competition rank
-(``competition_ranks``: the tie-run start, or the sorted position on a
-tie-free column). Per scheme it sorts one small unsigned key per cell, so it
-costs O(p * n log n * (1 + schemes)). Two baselines read the same view. fks
-accumulates, per scheme, every slice's cumulative counts at once, S
-count-bytes per cell (S = s_eff, one byte per lane while slices hold at most
-255 entries), its float temporaries bounded by a fixed row chunk, so
-O(p * n * sum s_eff) small-integer adds. rcs (Kendall) compares the same
-competition ranks, and counts the pairs tied in x from the view's tie runs.
-A caller that scores one matrix several ways builds the view once and passes
-it as ``ranked=``; the column sort is then paid once. Wide matrices go
-through ``_column_blocks``, one helper for every column-block loop, each
-caller giving its own cap on the columns in a block: ``screening.fmv_scores``
-caps the kernel's cells, fks the bytes of a scheme's counts, so neither's
-temporaries grow with p.
+``mv_hat_columns_multi``, where b_k is entry k's rank. Per scheme it sorts
+one small unsigned key per cell, so it costs O(p * n log n * (1 + schemes)).
+Two baselines read the same view. fks argsorts the ranks once per column
+block (a radix sort of small unsigned ints), then accumulates, per scheme,
+every slice's cumulative counts at once, S count-bytes per cell (S = s_eff,
+one byte per lane while slices hold at most 255 entries), its float
+temporaries bounded by a fixed row chunk, so O(p * n * sum s_eff)
+small-integer adds. rcs (Kendall) compares the ranks themselves, and counts
+the pairs tied in x from their sums. ``tie_starts`` picks out the tied
+columns and their sorted ranks for the readers that need tie runs. A caller
+that scores one matrix several ways builds the view once and passes it as
+``ranked=``; the column sort is then paid once. Wide matrices go through
+``_column_blocks``, one helper for every column-block loop, each caller
+giving its own cap on the columns in a block: ``screening.fmv_scores`` caps
+the kernel's cells, fks the bytes of a scheme's counts, so neither's
+temporaries grow with p. A block's view is the rows ``ranked[lo:hi]``.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +42,11 @@ from .errors import InputError
 from .slicing import SliceLabels
 
 __all__ = [
-    "RankedColumns",
-    "competition_ranks",
     "mv_hat",
     "mv_hat_bruteforce",
     "mv_hat_columns_multi",
     "ranked_columns",
+    "tie_starts",
 ]
 
 
@@ -55,54 +55,47 @@ def _check_labels(n: int, labels: SliceLabels) -> None:
         raise InputError(f"labels cover {labels.n} observations, predictor has {n}")
 
 
-class RankedColumns(NamedTuple):
-    """The ranked view of an n-by-p matrix, one row per column of x.
-
-    ``order[j]`` sorts column j ascending. Only the columns in ``tied`` hold
-    repeated values; for them ``start[k]`` and ``end[k]`` give, at every
-    sorted position of column ``tied[k]``, the first and last sorted position
-    of its tie run, in the smallest unsigned dtype that holds n. In a
-    tie-free column both would be the position itself.
-    """
-
-    order: np.ndarray
-    tied: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-
-    def columns(self, lo: int, hi: int) -> RankedColumns:
-        """The view of columns lo..hi-1 alone, as views into this one."""
-        a, b = np.searchsorted(self.tied, (lo, hi))
-        return RankedColumns(self.order[lo:hi], self.tied[a:b] - lo,
-                             self.start[a:b], self.end[a:b])
-
-
-def ranked_columns(x: np.ndarray) -> RankedColumns:
+def ranked_columns(x: np.ndarray) -> np.ndarray:
     """The ranked view of a checked n-by-p matrix shared by the MV kernel, fks
-    and Kendall.
+    and Kendall: (p, n) competition ranks, where row j gives each entry of
+    column j the count of strictly smaller entries in it (the start of its
+    tie run in the sorted column), in the smallest unsigned dtype that holds
+    n. Ranks compare exactly like the values, equal values share one rank,
+    and -0.0 and 0.0 are equal.
 
     The columns are copied once into a contiguous (p, n) array, argsorted
     along its rows, and then sorted in place for the tie runs, so one float
-    copy of x is alive at a time. Callers read ECDFs only at tie-run ends,
-    so the order within a tie run cannot change any result and the default
-    (unstable) sort serves; -0.0 and 0.0 compare equal either way.
+    copy of x is alive at a time. The order within a tie run does not matter,
+    so the default (unstable) sort serves.
     """
-    n = x.shape[0]
+    n, p = x.shape
     xt = x.T.copy(order="C")  # never a view: it is sorted in place
     order = np.argsort(xt, axis=1)
     xt.sort(axis=1)
-    same = xt[:, 1:] == xt[:, :-1]
+    count = np.min_scalar_type(n)
+    # each sorted position's rank: the last position at or before it whose
+    # value differs from its predecessor's
+    sorted_ranks = np.zeros((p, n), dtype=count)
+    np.not_equal(xt[:, 1:], xt[:, :-1], out=sorted_ranks[:, 1:])
     del xt
-    tied = np.flatnonzero(same.any(axis=1))
-    same = same[tied]
-    pos = np.arange(n, dtype=np.min_scalar_type(n))
-    starts_run = np.ones((tied.size, n), dtype=bool)
-    np.logical_not(same, out=starts_run[:, 1:])
-    ends_run = np.ones((tied.size, n), dtype=bool)
-    np.logical_not(same, out=ends_run[:, :-1])
-    start = np.maximum.accumulate(np.where(starts_run, pos, 0), axis=1)
-    end = np.minimum.accumulate(np.where(ends_run, pos, n)[:, ::-1], axis=1)[:, ::-1]
-    return RankedColumns(order, tied, start, end)
+    sorted_ranks[:, 1:] *= np.arange(1, n, dtype=count)
+    np.maximum.accumulate(sorted_ranks, axis=1, out=sorted_ranks)
+    # back to row order through flat indices, a plain 1-d scatter that costs
+    # well under half of put_along_axis
+    order += n * np.arange(p)[:, None]
+    ranks = np.empty_like(sorted_ranks)
+    ranks.reshape(-1)[order.reshape(-1)] = sorted_ranks.reshape(-1)
+    return ranks
+
+
+def tie_starts(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tied columns of a ranked view, and for each of them the stable
+    (radix) sort of its ranks: the start of the tie run at every sorted
+    position. A column's ranks sum to n (n - 1) / 2 when it has no ties,
+    and to that less the pairs it ties otherwise."""
+    n = ranks.shape[1]
+    tied = np.flatnonzero(ranks.sum(axis=1, dtype=np.int64) < n * (n - 1) // 2)
+    return tied, np.sort(ranks[tied], axis=1, kind="stable")
 
 
 def _column_blocks(p: int, most: int, threads: int = 1) -> list[tuple[int, int]]:
@@ -120,23 +113,8 @@ def _exact_int(n: int):
     return np.int64 if n ** 3 <= np.iinfo(np.int64).max else object
 
 
-def competition_ranks(ranked: RankedColumns) -> np.ndarray:
-    """(p, n) competition ranks of every row in every column of the view: the
-    start of the row's tie run, or its sorted position in a tie-free column,
-    in the smallest unsigned dtype that holds n. Ranks compare exactly like
-    the values, and equal values share one rank."""
-    p, n = ranked.order.shape
-    count = np.min_scalar_type(n)
-    sorted_ranks = np.empty((p, n), dtype=count)
-    sorted_ranks[:] = np.arange(n, dtype=count)
-    sorted_ranks[ranked.tied] = ranked.start
-    ranks = np.empty_like(sorted_ranks)
-    np.put_along_axis(ranks, ranked.order, sorted_ranks, axis=1)
-    return ranks
-
-
 def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
-                         ranked: RankedColumns | None = None) -> np.ndarray:
+                         ranked: np.ndarray | None = None) -> np.ndarray:
     """Fast path: the statistic for every column, for several slicings at once.
 
     With c_s(t) the number of slice-s entries among a column's first t + 1
@@ -152,17 +130,17 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
         sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k)
                          = n size_s^2 - sum_{k in s} (2 r_k + 1) b_k.
 
-    b_k is the competition rank of entry k (``competition_ranks``). Per
+    b_k is the competition rank of entry k (``ranked_columns``). Per
     slicing, each row's key (g - 1) n + b, with g its slice label, is sorted
     along the column in place: the keys list slice 1's run starts in
     ascending order, then slice 2's, and so on, so r_k is the offset from
     the slice's start and subtracting the slice's (g - 1) n gives b_k back.
     Both sums are exact integers, the order within a tie run cancels out,
     and the scores are bit-identical under row permutation. Cost: one column
-    sort and one rank scatter, then per slicing one sort of small unsigned
-    keys and one segmented sum, so O(p * (n log n) * (1 + len(labels_list))),
-    the column sort skipped when ``ranked`` passes the view of x already
-    built. Entries of ``labels_list`` may be None (degenerate slicing),
+    sort and one rank scatter, a radix sort of the tied columns' ranks, then
+    per slicing one sort of small unsigned keys and one segmented sum, so
+    O(p * (n log n) * (1 + len(labels_list))), the column sort skipped when
+    ``ranked`` passes the view of x already built. Entries of ``labels_list`` may be None (degenerate slicing),
     contributing a zero row.
     """
     x = check_matrix(x)
@@ -175,14 +153,15 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     if not any(lab.s_eff > 1 for lab in live):
         return out
 
-    if ranked is None:
-        ranked = ranked_columns(x)
+    ranks = ranked_columns(x) if ranked is None else ranked
     exact = _exact_int(n)
-    # sum_i (t_i + 1)^2: sum of squares 1..n in a tie-free column
+    # sum_i (t_i + 1)^2 is the identity below with the whole sample as one
+    # slice: n^3 - sum_k (2 k + 1) b_(k) over the sorted ranks b_(k), and the
+    # sum of squares 1..n on a tie-free column
     f_sq = np.full(p, n * (n + 1) * (2 * n + 1) // 6, dtype=exact)
-    f_sq[ranked.tied] = np.square(ranked.end.astype(exact) + 1).sum(axis=1)
-    ranks = competition_ranks(ranked)
-    del ranked
+    tied, starts = tie_starts(ranks)
+    f_sq[tied] = n ** 3 - (starts * (2 * np.arange(n) + 1)).sum(axis=1, dtype=exact)
+    del starts
     # each (2 r + 1) b is below 2 n^2
     product = np.empty((p, n), dtype=np.min_scalar_type(2 * n * n))
     for k, labels in enumerate(labels_list):

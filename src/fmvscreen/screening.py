@@ -11,7 +11,7 @@ import numpy as np
 
 from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import DegenerateSlicesError, InputError
-from .mv import RankedColumns, _column_blocks, mv_hat_columns_multi
+from .mv import _column_blocks, mv_hat_columns_multi
 from .slicing import (
     SliceLabels,
     build_categorical_slices,
@@ -21,8 +21,8 @@ from .slicing import (
 )
 
 # cells of x per kernel call: fmv_scores scores column blocks of at most this
-# many cells, which bounds the kernel's temporaries (up to about 28 bytes a
-# block cell when the block sorts its own columns, 18 with a view passed in)
+# many cells, which bounds the kernel's temporaries (up to about 18 bytes a
+# block cell when the block sorts its own columns, 13 with a view passed in)
 _BLOCK_CELLS = 1 << 18
 
 __all__ = [
@@ -140,7 +140,7 @@ def labels_for_schemes(y, kind: ResponseKind, schemes) -> list[SliceLabels | Non
 
 def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
                schemes=None, threads: int = 1, *,
-               ranked: RankedColumns | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
+               ranked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
     """Fused scores for every column of a predictor matrix.
 
     Returns (fused, per_scheme, degenerate) where per_scheme has one row per
@@ -148,13 +148,11 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     over equal-width blocks of at most ``_BLOCK_CELLS`` cells each, so the
     kernel's temporaries stay within a fixed budget at any p; ``threads``
     maps over the same blocks, whose count is a multiple of it. Each block
-    reads its columns of ``ranked``, x's ranked view (``mv.ranked_columns``)
+    reads its rows of ``ranked``, x's ranked view (``mv.ranked_columns``)
     when the caller has built it already, or else sorts its own columns.
     Every column is scored alone, so the blocking cannot change the result.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"expected an n-by-p matrix, got shape {x.shape}")
+    x = check_matrix(x)
     check_ranked(ranked, x)
     n, p = x.shape
     schemes = default_schemes(n) if schemes is None else list(schemes)
@@ -163,13 +161,11 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     labels_list = labels_for_schemes(y, kind, schemes)
     degenerate = all(lab is None for lab in labels_list)
     n_threads = _resolve_threads(threads)
-    # here rather than per block, so an error names x's column, not a block's
-    check_matrix(x)
     blocks = _column_blocks(p, _BLOCK_CELLS // max(n, 1), n_threads)
 
     def score_block(block):
         lo, hi = block
-        view = None if ranked is None else ranked.columns(lo, hi)
+        view = None if ranked is None else ranked[lo:hi]
         return mv_hat_columns_multi(x[:, lo:hi], labels_list, ranked=view)
 
     if n_threads <= 1 or len(blocks) == 1:

@@ -53,8 +53,10 @@ def small_spec() -> ExperimentSpec:
 
 
 def test_run_replications_deterministic_across_threads() -> None:
-    serial = run_replications(small_spec(), ["fmv", "sis"], reps=6, base_seed=3, threads=1)
-    threaded = run_replications(small_spec(), ["fmv", "sis"], reps=6, base_seed=3, threads=3)
+    # fmv, rcs and fks share one ranked view per replication
+    names = ["fmv", "sis", "rcs", "fks"]
+    serial = run_replications(small_spec(), names, reps=6, base_seed=3, threads=1)
+    threaded = run_replications(small_spec(), names, reps=6, base_seed=3, threads=3)
     for a, b in zip(serial, threaded):
         assert a.screener == b.screener
         assert np.array_equal(a.mms, b.mms)

@@ -138,6 +138,20 @@ def test_screen_dn_larger_than_p_ranks_all(tmp_path) -> None:
     assert len(ranked.read_text().strip().split("\n")) == 6
 
 
+@pytest.mark.parametrize("dn", ["0", "-1"])
+def test_screen_rejects_dn_below_one(tmp_path, capsys, dn) -> None:
+    # --dn -1 would slice off the last column and --dn 0 write a bare header
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=5)
+    ranked = tmp_path / "ranked.csv"
+    rc = main(["screen", "--input", str(data), "--response", "resp",
+               "--schemes", "3", "--dn", dn, "--out", str(ranked)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--dn" in err
+    assert not ranked.exists()
+
+
 def test_screen_drops_rows_with_missing_cells(tmp_path, capsys) -> None:
     data = tmp_path / "gaps.csv"
     rows = ["resp,a,b"] + [f"{i}.0,{i}.5,{i}.25" for i in range(30)]
@@ -253,7 +267,7 @@ def test_bench_cli_writes_reports(tmp_path, capsys) -> None:
 
 def test_bench_cli_thread_count_does_not_change_reports(tmp_path) -> None:
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    base = ["bench", "--cases", "1c", "--screeners", "fmv", "--reps", "2",
+    base = ["bench", "--cases", "1c", "--screeners", "fmv,rcs,fks", "--reps", "2",
             "--seed", "9"]
     assert main(base + ["--threads", "1", "--out", str(dir_a)]) == 0
     assert main(base + ["--threads", "2", "--out", str(dir_b)]) == 0

@@ -11,7 +11,7 @@ from fmvscreen import (
     mv_hat,
     mv_hat_bruteforce,
 )
-from fmvscreen.mv import competition_ranks, mv_hat_columns_multi, ranked_columns
+from fmvscreen.mv import mv_hat_columns_multi, ranked_columns, tie_starts
 from fmvscreen.slicing import SliceLabels
 
 
@@ -92,32 +92,45 @@ def test_matrix_path_matches_columnwise_oracle() -> None:
     assert cols[5] == 0.0
 
 
-def test_ranked_columns_match_bruteforce() -> None:
-    # the core shared with fks: per column a sort order, and for the tied
-    # columns only, each sorted position's tie-run start and end
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 9, 50):
-        x = rng.normal(size=(n, 5))
-        x[:, 1] = np.round(x[:, 1], 1)
-        x[:, 2] = np.round(x[:, 2])
-        x[:, 3] = rng.choice([-0.0, 0.0], size=n)  # one tie run of signed zeros
-        x[:, 4] = 1.5
-        ranked = ranked_columns(x)
-        assert ranked.order.shape == (5, n)
-        expect_tied = [j for j in range(5) if np.unique(x[:, j]).size < n]
-        assert ranked.tied.tolist() == expect_tied
-        assert ranked.start.shape == ranked.end.shape == (len(expect_tied), n)
-        assert ranked.start.dtype.kind == ranked.end.dtype.kind == "u"
-        for j in range(5):
-            assert sorted(ranked.order[j]) == list(range(n))
-            xs = x[ranked.order[j], j]
-            assert np.all(xs[1:] >= xs[:-1])
-        for k, j in enumerate(ranked.tied):
-            xs = x[ranked.order[j], j]
-            for i in range(n):
-                run = np.flatnonzero(xs == xs[i])
-                assert ranked.start[k, i] == run[0]
-                assert ranked.end[k, i] == run[-1]
+def edge_columns(rng, n: int) -> np.ndarray:
+    """An n-by-5 matrix: continuous, rounded, -0.0 next to 0.0, constant and
+    integer-rounded columns."""
+    x = rng.normal(size=(n, 5))
+    x[:, 1] = np.round(x[:, 1], 1)
+    x[:, 2] = rng.choice([-0.0, 0.0, 1.0], size=n)  # -0.0 ties 0.0
+    x[:, 3] = 1.5
+    x[:, 4] = np.round(x[:, 4])
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 50, 255, 256, 257])
+def test_competition_ranks_match_bruteforce(n) -> None:
+    # the view shared by the kernel, fks and Kendall: a row's rank is the
+    # count of strictly smaller values in its column, in the smallest
+    # unsigned dtype holding n (one byte to n = 255)
+    x = edge_columns(np.random.default_rng(41 + n), n)
+    ranks = ranked_columns(x)
+    assert ranks.shape == (5, n)
+    assert ranks.dtype == np.min_scalar_type(n)
+    expect = (x[None, :, :] < x[:, None, :]).sum(axis=1).T
+    assert np.array_equal(ranks, expect)
+    assert not ranks[3].any()  # the constant column
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 50, 256])
+def test_tie_starts_match_bruteforce(n) -> None:
+    # the tied columns, and at each sorted position of one the first sorted
+    # position holding the same value
+    x = edge_columns(np.random.default_rng(51 + n), n)
+    ranks = ranked_columns(x)
+    tied, starts = tie_starts(ranks)
+    expect_tied = [j for j in range(5) if np.unique(x[:, j]).size < n]
+    assert tied.tolist() == expect_tied
+    assert starts.shape == (len(expect_tied), n)
+    assert starts.dtype == ranks.dtype
+    for k, j in enumerate(tied):
+        xs = np.sort(x[:, j])
+        assert starts[k].tolist() == [np.flatnonzero(xs == v)[0] for v in xs]
 
 
 def test_ranked_columns_sorts_a_copy_and_keeps_signed_zero_runs() -> None:
@@ -127,30 +140,12 @@ def test_ranked_columns_sorts_a_copy_and_keeps_signed_zero_runs() -> None:
     x = np.asfortranarray(rng.normal(size=(12, 3)))
     x[:, 1] = [0.0, -0.0, 1.5, 0.0, -1.0, -0.0, 2.0, 0.0, -0.0, 1.5, -1.0, 0.0]
     before = x.copy()
-    ranked = ranked_columns(x)
+    ranks = ranked_columns(x)
     assert x.tobytes() == before.tobytes() and x.flags.f_contiguous
-    assert ranked.tied.tolist() == [1]
-    xs = x[ranked.order[1], 1]
-    zeros = np.flatnonzero(xs == 0.0)
-    assert zeros.size == 7
-    assert ranked.start[0, zeros].tolist() == [zeros[0]] * 7
-    assert ranked.end[0, zeros].tolist() == [zeros[-1]] * 7
-
-
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
-def test_competition_ranks_match_bruteforce(n) -> None:
-    # a row's rank is the count of strictly smaller values in its column, in
-    # the smallest unsigned dtype holding n (one byte to n = 255)
-    rng = np.random.default_rng(41 + n)
-    x = rng.normal(size=(n, 5))
-    x[:, 1] = np.round(x[:, 1], 1)
-    x[:, 2] = rng.choice([-0.0, 0.0, 1.0], size=n)
-    x[:, 3] = 1.5
-    ranks = competition_ranks(ranked_columns(x))
-    assert ranks.shape == (5, n)
-    assert ranks.dtype == np.min_scalar_type(n)
-    expect = (x[None, :, :] < x[:, None, :]).sum(axis=1).T
-    assert np.array_equal(ranks, expect)
+    assert ranks[1].tolist() == [2, 2, 9, 2, 0, 2, 11, 2, 2, 9, 0, 2]
+    tied, starts = tie_starts(ranks)
+    assert tied.tolist() == [1]
+    assert starts[0].tolist() == [0, 0] + [2] * 7 + [9, 9, 11]
 
 
 @pytest.mark.parametrize("n, s_values", [

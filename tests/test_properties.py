@@ -1,6 +1,7 @@
-"""Property tests for the rank kernels: Kendall and the MV kernel against
-their O(n^2) oracles, and bit-identity under row permutation, over tied,
-tiny (n = 2, 3), count and categorical inputs with -0.0 next to 0.0."""
+"""Property tests for the rank kernels: Kendall, the MV kernel and fks
+against their O(n^2) oracles, bit-identity under row permutation, and fks
+and fmv bit-identical under a strictly increasing map of y, over tied, tiny
+(n = 2, 3), count and categorical inputs with -0.0 next to 0.0."""
 
 from __future__ import annotations
 
@@ -11,11 +12,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from fmvscreen import ResponseKind, mv_hat_bruteforce  # noqa: E402
-from fmvscreen.baselines import kendall_score_bruteforce, kendall_scores  # noqa: E402
+from fmvscreen import ResponseKind, fmv_scores, mv_hat_bruteforce  # noqa: E402
+from fmvscreen.baselines import (  # noqa: E402
+    fks_scores,
+    kendall_score_bruteforce,
+    kendall_scores,
+)
 from fmvscreen.mv import mv_hat_columns_multi, ranked_columns  # noqa: E402
 from fmvscreen.screening import labels_for_schemes  # noqa: E402
 from fmvscreen.slicing import SliceLabels  # noqa: E402
+from test_baselines import fks_oracle  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -66,6 +72,24 @@ def mv_cases(draw):
     return x, live
 
 
+@st.composite
+def response_cases(draw, kinds=tuple(ResponseKind)):
+    """A matrix, a response of a kind drawn from ``kinds`` (categorical
+    labels, counts, or a possibly tied continuous column) and slice counts
+    for it."""
+    x = draw(matrices())
+    n = x.shape[0]
+    kind = draw(st.sampled_from(kinds))
+    if kind is ResponseKind.CATEGORICAL:
+        y = draw(arrays(np.float64, n, elements=st.integers(0, min(n, 7)).map(float)))
+    elif kind is ResponseKind.COUNT:
+        y = draw(arrays(np.float64, n, elements=COUNTS))
+    else:
+        y = draw(columns(n))
+    schemes = draw(st.lists(st.integers(2, n), min_size=1, max_size=3))
+    return x, y, kind, schemes
+
+
 def permuted(labels: SliceLabels, perm: np.ndarray) -> SliceLabels:
     return SliceLabels(g=labels.g[perm], counts=labels.counts)
 
@@ -111,3 +135,41 @@ def test_mv_kernel_bit_identical_under_row_permutation(case, rnd) -> None:
     assert mv_hat_columns_multi(x[perm], moved).tobytes() == base
     assert mv_hat_columns_multi(x[perm], moved,
                                 ranked=ranked_columns(x[perm])).tobytes() == base
+
+
+@SETTINGS
+@given(response_cases())
+def test_fks_matches_pairwise_oracle(case) -> None:
+    x, y, kind, schemes = case
+    scores = fks_scores(x, y, kind, schemes)
+    labels_list = labels_for_schemes(y, kind, schemes)
+    for j in range(x.shape[1]):
+        assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+
+
+@SETTINGS
+@given(response_cases(), st.randoms(use_true_random=False))
+def test_fks_bit_identical_under_row_permutation(case, rnd) -> None:
+    x, y, kind, schemes = case
+    perm = np.array(rnd.sample(range(x.shape[0]), x.shape[0]))
+    base = fks_scores(x, y, kind, schemes).tobytes()
+    assert fks_scores(x, y, kind, schemes, ranked=ranked_columns(x)).tobytes() == base
+    assert fks_scores(x[perm], y[perm], kind, schemes).tobytes() == base
+    assert fks_scores(x[perm], y[perm], kind, schemes,
+                      ranked=ranked_columns(x[perm])).tobytes() == base
+
+
+@SETTINGS
+@given(response_cases(kinds=(ResponseKind.CONTINUOUS, ResponseKind.CATEGORICAL)),
+       st.lists(st.integers(1, 50), min_size=40, max_size=40))
+def test_fks_and_fmv_bit_identical_under_increasing_map_of_y(case, steps) -> None:
+    # y's distinct values (at most 40) go to increasing integers, so the map
+    # keeps them distinct and in order; count slices read y's values, not
+    # only their order, so counts are left out
+    x, y, kind, schemes = case
+    _, dense = np.unique(y, return_inverse=True)
+    moved = np.cumsum(np.asarray(steps, dtype=np.float64))[dense.ravel()]
+    assert fks_scores(x, moved, kind, schemes).tobytes() == \
+        fks_scores(x, y, kind, schemes).tobytes()
+    assert fmv_scores(x, moved, kind, schemes)[1].tobytes() == \
+        fmv_scores(x, y, kind, schemes)[1].tobytes()
