@@ -9,9 +9,9 @@ import numpy as np
 
 from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import InputError
-from .mv import _column_blocks, ranked_columns, tie_starts
+from .mv import _BLOCK_CELLS, _column_blocks, ranked_columns, tie_starts
 from .screening import ResponseKind, labels_for_schemes
-from .slicing import SliceLabels, default_schemes, distinct_sorted
+from .slicing import SliceLabels, default_schemes
 
 __all__ = [
     "pearson_score",
@@ -149,13 +149,11 @@ def kendall_score_bruteforce(x, y) -> float:
 
 # -- Fused Kolmogorov filter -------------------------------------------------
 
-# sorted positions per step of fks's float stage, which bounds its float
-# temporaries to a few (_ROW_CHUNK, p) arrays at any n
-_ROW_CHUNK = 32
-# bytes of one column block's slice counts: a scheme with many slices (a
-# categorical response with many classes, say) is scored block by block, so
-# its (n, s_eff, columns) count array stays within this at any p
-_COUNT_BYTES = 1 << 26
+# the largest lcm of a scheme's slice sizes whose ECDF gaps fks finds exactly
+# in integers: up to it every scaled count is an exact float, and two exact
+# gaps 1/lcm apart stay further apart than float rounding can close, up to
+# 3 * 2**-54 on each
+_EXACT_LCM = 1 << 50
 
 
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
@@ -167,12 +165,15 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     when ``ranked`` passes it already built), then per column block one
     radix argsort of the ranks and the tie runs of ``mv.tie_starts``, shared
     by all schemes, and per scheme O(p * n * s_eff) small-integer adds and
-    O(p * n * sizes) float divisions, where ``sizes`` counts the scheme's
-    distinct slice sizes. Memory: s_eff count-bytes per cell for the
-    per-slice counts (two per lane once a slice holds more than 255
-    entries), at most ``_COUNT_BYTES`` for the scheme with the most, so
-    every scheme fits the same column blocks; 8 bytes per block cell for the
-    sort order; float temporaries bounded by ``_ROW_CHUNK`` rows.
+    maxima in exact integers (``_widest_ecdf_gap``), with float divisions
+    only at each column's widest gaps. Memory: the columns go through blocks
+    of at most 24 * ``mv._BLOCK_CELLS`` bytes, each block cell holding its
+    8-byte sort order and, for the scheme that needs most, s_eff count-bytes
+    (two per lane once a slice holds more than 255 entries) and four
+    temporaries of ``_gap_type``. With up to 8 one-byte slices and two-byte
+    temporaries a block holds ``_BLOCK_CELLS`` cells, and no temporary grows
+    with p: at 200 x 20000, 1.7 bytes a cell above x with a view passed
+    (tracemalloc), most of it the view.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -188,74 +189,132 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     if ranked is None:
         ranked = ranked_columns(x)
     count_types = [np.min_scalar_type(labels.counts.max()) for labels in live]
-    most = min(_COUNT_BYTES // (n * labels.s_eff * count.itemsize)
-               for labels, count in zip(live, count_types))
-    for lo, hi in _column_blocks(p, most):
-        order = np.argsort(ranked[lo:hi], axis=1, kind="stable")
+    # a block cell's bytes: the sort order, then the counts and temporaries
+    # of the scheme that needs most; 24 of them (8 one-byte slices, two-byte
+    # temporaries) fit _BLOCK_CELLS cells in a block
+    cell_bytes = 8 + max(labels.s_eff * count.itemsize + 4 * _gap_type(labels).itemsize
+                         for labels, count in zip(live, count_types))
+    for lo, hi in _column_blocks(p, 24 * _BLOCK_CELLS // (n * cell_bytes)):
+        # rows[t, j]: the row at column j's sorted position t
+        rows = np.ascontiguousarray(np.argsort(ranked[lo:hi], axis=1, kind="stable").T)
         tied, starts = tie_starts(ranked[lo:hi])
         # on tied columns only a tie run's last position holds the ECDF there
         inside_run = np.zeros(starts.shape, dtype=bool)
         np.equal(starts[:, 1:], starts[:, :-1], out=inside_run[:, :-1])
         del starts
         for labels, count in zip(live, count_types):
-            out[lo:hi] += _widest_ecdf_gap(order, tied, inside_run, labels, count)
+            out[lo:hi] += _widest_ecdf_gap(rows, tied, inside_run, labels, count)
+        del rows, inside_run  # before the next block allocates its own
     return out
 
 
-def _widest_ecdf_gap(order: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
+def _size_lcm(labels: SliceLabels) -> int:
+    return math.lcm(*(int(size) for size in labels.counts))
+
+
+def _gap_type(labels: SliceLabels) -> np.dtype:
+    """The dtype of ``_widest_ecdf_gap``'s scaled counts for a slicing: the
+    smallest unsigned int that holds the lcm of its slice sizes, or float64
+    past ``_EXACT_LCM``."""
+    lcm = _size_lcm(labels)
+    return np.min_scalar_type(lcm) if lcm <= _EXACT_LCM else np.dtype(np.float64)
+
+
+def _widest_ecdf_gap(rows: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
                      labels: SliceLabels, count) -> np.ndarray:
-    """Per column of a block whose rows ``order`` sort, the largest gap
-    between two slices' ECDFs over the sorted positions that end a tie run:
-    every position but, on the columns ``tied``, those ``inside_run``.
+    """Per column of a block, the largest gap between two slices' ECDFs over
+    the sorted positions that end a tie run: every position but, on the
+    columns ``tied``, those ``inside_run``. ``rows`` is (n, p): the row at
+    each column's every sorted position.
 
     Every slice's cumulative counts are built at once in an (n, s_eff, p)
-    array of dtype ``count``, one contiguous add per sorted position. Two
-    identities keep the result bit-identical to evaluating every ECDF in
-    floats and comparing every pair: max over pairs of |F_a - F_b| equals
-    fl(max_s F_s - min_s F_s), because rounded subtraction is monotone in
-    each argument; and among slices of one size m, max_s fl(c_s / m) =
-    fl(max_s c_s / m), because rounded division by m is monotone. So the
-    counts are reduced in integers per slice size, and each size divides
-    once.
-    """
-    # (p, n) slice labels in each column's sorted order
-    gs = labels.g.astype(np.min_scalar_type(labels.s_eff))[order]
-    p, n = gs.shape
-    sizes = labels.counts
-    lanes = np.arange(1, sizes.size + 1, dtype=gs.dtype)
-    # counts[t, s - 1, j]: slice-s entries among column j's first t + 1 sorted
-    counts = np.empty((n, sizes.size, p), dtype=count)
-    np.equal(np.ascontiguousarray(gs.T)[:, None, :], lanes[:, None], out=counts)
-    del gs
-    for t in range(1, n):
-        np.add(counts[t - 1], counts[t], out=counts[t])
-    groups = [(size, np.flatnonzero(sizes == size))
-              for size in distinct_sorted(np.sort(sizes))]
+    array of dtype ``count``, one contiguous add per sorted position, its
+    lanes ordered by slice size. Slice s's ECDF at a position is c_s / m_s,
+    with m_s its size. With L the lcm of the sizes that is h / L for the
+    integer h = c_s L / m_s, so each size group's largest and smallest
+    counts, scaled by L / m into the smallest unsigned int that holds L,
+    give every position's widest gap exactly, as the integer hi - lo. Only
+    the positions where that gap equals its column's largest, D, are read in
+    floats, as fl(h / L) - fl((h - D) / L), and the column scores the
+    largest of them. That is bit-identical to evaluating every ECDF in
+    floats and comparing every pair:
+    - the widest pair of rounded ECDFs is fl(max_s F_s) - fl(min_s F_s),
+      because rounding is monotone;
+    - fl(h / L) = fl(c / m), because the two rationals are equal and h and
+      L are exact floats;
+    - while L <= ``_EXACT_LCM`` (2**50) the three roundings move a gap by at
+      most 3 * 2**-54, less than half of the 1 / L between two exact gaps,
+      so no smaller exact gap rounds above a widest one.
+    A larger L, which only a categorical or tied response with many
+    distinct slice sizes reaches, divides each group by its size in float64
+    instead and takes every position's float gap, as the definition does.
 
-    widest = np.zeros(p)
-    rows = min(n, _ROW_CHUNK)
-    hi, lo, f = np.empty((rows, p)), np.empty((rows, p)), np.empty((rows, p))
-    for r0 in range(0, n, rows):
-        chunk = counts[r0:r0 + rows]
-        k = chunk.shape[0]
-        hi_k, lo_k, f_k = hi[:k], lo[:k], f[:k]
-        hi_k.fill(0.0)  # every ECDF value lies in [0, 1]
-        lo_k.fill(1.0)
-        for size, group in groups:
-            top = bottom = chunk[:, group[0]]
-            for s in group[1:]:
-                top = np.maximum(top, chunk[:, s])
-                bottom = np.minimum(bottom, chunk[:, s])
-            np.divide(top, size, out=f_k)
-            np.maximum(hi_k, f_k, out=hi_k)
-            if bottom is not top:  # a lone slice is its size's top and bottom
-                np.divide(bottom, size, out=f_k)
-            np.minimum(lo_k, f_k, out=lo_k)
-        hi_k -= lo_k
-        if tied.size:
-            hi_k[:, tied] = np.where(inside_run[:, r0:r0 + k].T, 0.0, hi_k[:, tied])
-        np.maximum(widest, hi_k.max(axis=0), out=widest)
-    return widest
+    Cost: O(n * p * s_eff) small-integer operations, and two divisions per
+    position at a column's widest exact gap. Memory per block cell: the
+    s_eff count lanes, four temporaries of ``_gap_type`` (float64 past the
+    bound) and a byte of mask.
+    """
+    # lanes grouped by slice size, so each size group is a run of lanes
+    by_size = np.argsort(labels.counts, kind="stable")
+    sizes = labels.counts[by_size]
+    # (n, p) slice labels in each column's sorted order
+    gs = labels.g.astype(np.min_scalar_type(labels.s_eff))[rows]
+    n, p = gs.shape
+    lanes = (by_size + 1).astype(gs.dtype)
+    # counts[t, k, j]: entries of lane k's slice among column j's first t + 1
+    # sorted entries; one-byte counts take the indicator as bools, uncast
+    counts = np.empty((n, sizes.size, p), dtype=count)
+    np.equal(gs[:, None, :], lanes[:, None],
+             out=counts.view(bool) if counts.itemsize == 1 else counts)
+    del gs
+    # the row views are made once: indexing counts[t] in the loop costs more
+    # than the adds at these widths
+    positions = list(counts)
+    for before, here in zip(positions, positions[1:]):
+        np.add(before, here, out=here)
+    del positions
+
+    lcm = _size_lcm(labels)
+    value = _gap_type(labels)
+    exact = value.kind == "u"
+
+    def scaled(c, size):
+        # c / size as the integer c * (L / size) over L, or in floats past
+        # the bound
+        if exact:
+            return np.multiply(c, value.type(lcm // size), dtype=value)
+        return np.divide(c, size)
+
+    firsts = np.flatnonzero(np.diff(sizes, prepend=0))
+    hi = lo = None
+    for a, b in zip(firsts, [*firsts[1:], sizes.size]):
+        size = int(sizes[a])
+        if b - a == 1:  # a lone slice is its size's top and bottom
+            top = scaled(counts[:, a], size)
+            bottom = top.copy() if hi is None else top  # hi and lo change in place
+        else:
+            top = scaled(counts[:, a:b].max(axis=1), size)
+            bottom = scaled(counts[:, a:b].min(axis=1), size)
+        if hi is None:
+            hi, lo = top, bottom
+        else:
+            np.maximum(hi, top, out=hi)
+            np.minimum(lo, bottom, out=lo)
+    del counts, top, bottom
+    gap = np.subtract(hi, lo, out=hi)
+    if tied.size:
+        gap[:, tied] = np.where(inside_run.T, 0, gap[:, tied])
+    if not exact:
+        return gap.max(axis=0)
+    widest = gap.max(axis=0)
+    # every (position, column) at its column's widest exact gap
+    position, column = np.divmod(np.flatnonzero(gap == widest), p)
+    low = lo[position, column]
+    f = np.divide(low + widest[column], float(lcm), dtype=np.float64)
+    f -= np.divide(low, float(lcm), dtype=np.float64)
+    out = np.zeros(p)
+    np.maximum.at(out, column, f)
+    return out
 
 
 def fks_score(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> float:

@@ -12,7 +12,6 @@ A replication whose scores a screener flags as degenerate keeps its MMS in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,6 +153,8 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
         for r in range(reps):
             one_rep(r)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only where a pool is made
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(one_rep, range(reps)))
 

@@ -20,17 +20,21 @@ one small unsigned key per cell, so it costs O(p * n log n * (1 + schemes)).
 Two baselines read the same view. fks argsorts the ranks once per column
 block (a radix sort of small unsigned ints), then accumulates, per scheme,
 every slice's cumulative counts at once, S count-bytes per cell (S = s_eff,
-one byte per lane while slices hold at most 255 entries), its float
-temporaries bounded by a fixed row chunk, so O(p * n * sum s_eff)
-small-integer adds. rcs (Kendall) compares the ranks themselves, and counts
-the pairs tied in x from their sums. ``tie_starts`` picks out the tied
-columns and their sorted ranks for the readers that need tie runs. A caller
-that scores one matrix several ways builds the view once and passes it as
-``ranked=``; the column sort is then paid once. Wide matrices go through
-``_column_blocks``, one helper for every column-block loop, each caller
-giving its own cap on the columns in a block: ``screening.fmv_scores`` caps
-the kernel's cells, fks the bytes of a scheme's counts, so neither's
-temporaries grow with p. A block's view is the rows ``ranked[lo:hi]``.
+one byte per lane while slices hold at most 255 entries), and finds each
+column's widest ECDF gap in exact integers, with floats only at that gap,
+so O(p * n * sum s_eff) small-integer operations. rcs (Kendall) compares
+the ranks themselves, and counts the pairs tied in x from their sums.
+``tie_starts`` picks out the tied columns and their sorted ranks for the
+readers that need tie runs. A caller that scores one matrix several ways
+builds the view once and passes it as ``ranked=``; the column sort is then
+paid once.
+
+``_BLOCK_CELLS`` is the one cell budget. ``ranked_columns`` builds the view
+over column blocks of at most that many cells, ``screening.fmv_scores``
+scores the kernel over the same width, and fks sizes its blocks from it
+(``_BLOCK_CELLS`` cells with up to 8 one-byte slices, fewer with more), so
+no temporary grows with p. ``_column_blocks`` is the one helper for every
+column-block loop, and a block's view is the rows ``ranked[lo:hi]``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ __all__ = [
 ]
 
 
+# cells of x per column block: the MV kernel, the ranked view's build and fks
+# each work over column blocks of about this many cells, so their temporaries
+# stay within a fixed budget at any p (the kernel holds up to about 18 bytes
+# a block cell when the block sorts its own columns, 13 with a view passed in)
+_BLOCK_CELLS = 1 << 18
+
+
 def _check_labels(n: int, labels: SliceLabels) -> None:
     if labels.n != n:
         raise InputError(f"labels cover {labels.n} observations, predictor has {n}")
@@ -63,28 +74,34 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
     n. Ranks compare exactly like the values, equal values share one rank,
     and -0.0 and 0.0 are equal.
 
-    The columns are copied once into a contiguous (p, n) array, argsorted
-    along its rows, and then sorted in place for the tie runs, so one float
-    copy of x is alive at a time. The order within a tie run does not matter,
-    so the default (unstable) sort serves.
+    The ranks are built over column blocks of at most ``_BLOCK_CELLS`` cells
+    into one preallocated (p, n) array. Each block's columns are copied into
+    a contiguous array, argsorted along its rows, and then sorted in place
+    for the tie runs, so above the result only one block's float copy and
+    int64 order are alive. Every column is ranked alone, so the blocks cannot
+    change the result, and the order within a tie run does not matter, so
+    the default (unstable) sort serves.
     """
     n, p = x.shape
-    xt = x.T.copy(order="C")  # never a view: it is sorted in place
-    order = np.argsort(xt, axis=1)
-    xt.sort(axis=1)
     count = np.min_scalar_type(n)
-    # each sorted position's rank: the last position at or before it whose
-    # value differs from its predecessor's
-    sorted_ranks = np.zeros((p, n), dtype=count)
-    np.not_equal(xt[:, 1:], xt[:, :-1], out=sorted_ranks[:, 1:])
-    del xt
-    sorted_ranks[:, 1:] *= np.arange(1, n, dtype=count)
-    np.maximum.accumulate(sorted_ranks, axis=1, out=sorted_ranks)
-    # back to row order through flat indices, a plain 1-d scatter that costs
-    # well under half of put_along_axis
-    order += n * np.arange(p)[:, None]
-    ranks = np.empty_like(sorted_ranks)
-    ranks.reshape(-1)[order.reshape(-1)] = sorted_ranks.reshape(-1)
+    ranks = np.empty((p, n), dtype=count)
+    steps = np.arange(1, n, dtype=count)
+    for lo, hi in _column_blocks(p, _BLOCK_CELLS // max(n, 1)):
+        xt = x[:, lo:hi].T.copy(order="C")  # never a view: it is sorted in place
+        order = np.argsort(xt, axis=1)
+        xt.sort(axis=1)
+        # each sorted position's rank: the last position at or before it
+        # whose value differs from its predecessor's
+        sorted_ranks = np.zeros(xt.shape, dtype=count)
+        np.not_equal(xt[:, 1:], xt[:, :-1], out=sorted_ranks[:, 1:])
+        del xt
+        sorted_ranks[:, 1:] *= steps
+        np.maximum.accumulate(sorted_ranks, axis=1, out=sorted_ranks)
+        # back to row order through flat indices, a plain 1-d scatter that
+        # costs well under half of put_along_axis
+        order += n * np.arange(hi - lo)[:, None]
+        ranks[lo:hi].reshape(-1)[order.reshape(-1)] = sorted_ranks.reshape(-1)
+        del order, sorted_ranks  # before the next block allocates its own
     return ranks
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import DegenerateSlicesError, InputError
-from .mv import _column_blocks, mv_hat_columns_multi
+from .mv import _BLOCK_CELLS, _column_blocks, mv_hat_columns_multi
 from .slicing import (
     SliceLabels,
     build_categorical_slices,
@@ -19,11 +18,6 @@ from .slicing import (
     build_quantile_slices,
     default_schemes,
 )
-
-# cells of x per kernel call: fmv_scores scores column blocks of at most this
-# many cells, which bounds the kernel's temporaries (up to about 18 bytes a
-# block cell when the block sorts its own columns, 13 with a view passed in)
-_BLOCK_CELLS = 1 << 18
 
 __all__ = [
     "ResponseKind",
@@ -171,6 +165,8 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     if n_threads <= 1 or len(blocks) == 1:
         scored = [score_block(block) for block in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only where a pool is made
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             scored = list(pool.map(score_block, blocks))
     per_scheme = np.concatenate(scored, axis=1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from fmvscreen import (
 )
 import fmvscreen.baselines
 import fmvscreen.mv
-from fmvscreen.baselines import _ROW_CHUNK, kendall_score_bruteforce
+from fmvscreen.baselines import _EXACT_LCM, _gap_type, kendall_score_bruteforce
 from fmvscreen.mv import ranked_columns
 from fmvscreen.screening import labels_for_schemes
 
@@ -232,9 +233,9 @@ def test_fks_matches_oracle_at_dtype_edges(n, schemes) -> None:
 
 def straddling_ties(rng, n: int) -> np.ndarray:
     """An n-by-4 matrix whose tie runs cover the sorted positions on both
-    sides of each row-chunk boundary, plus a rounded and a constant column."""
+    sides of every 32nd one, plus a rounded and a constant column."""
     ranks = np.arange(n, dtype=float)
-    for edge in range(_ROW_CHUNK, n, _ROW_CHUNK):
+    for edge in range(32, n, 32):
         ranks[edge - 2:edge + 2] = edge - 2  # positions edge-2 .. edge+1 tie
     ranks[n - 3:] = n - 3  # a run ending at the last position
     x = np.column_stack([ranks, ranks[::-1] ** 3, np.round(rng.normal(size=n), 1),
@@ -242,7 +243,7 @@ def straddling_ties(rng, n: int) -> np.ndarray:
     return x[rng.permutation(n)]
 
 
-@pytest.mark.parametrize("n", [_ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 1])
+@pytest.mark.parametrize("n", [31, 32, 33, 65])
 def test_fks_at_row_chunk_edges(n) -> None:
     rng = np.random.default_rng(n + 40)
     x = straddling_ties(rng, n)
@@ -278,31 +279,31 @@ def test_fks_two_byte_counts_and_several_size_groups() -> None:
 
 
 def test_fks_column_blocks_are_bit_identical(monkeypatch) -> None:
-    # a small count budget splits every scheme into column blocks: one
-    # column each at one byte, several at the larger budget; the scores
-    # must not notice
+    # a small cell budget splits the columns into blocks: one column each at
+    # one cell, about three at 3 n cells; the scores must not notice
     rng = np.random.default_rng(45)
-    n = 2 * _ROW_CHUNK + 1
+    n = 65
     x = np.column_stack([straddling_ties(rng, n), rng.normal(size=(n, 3))])
     cases = [(x[:, 0] + rng.normal(size=n), ResponseKind.CONTINUOUS, [3, 5]),
              (rng.permutation(np.arange(n) % 11).astype(float), ResponseKind.CATEGORICAL, None)]
     whole = [fks_scores(x, y, kind, schemes) for y, kind, schemes in cases]
-    for budget in (1, 3 * n * 11):
-        monkeypatch.setattr(fmvscreen.baselines, "_COUNT_BYTES", budget)
+    for budget in (1, 3 * n):
+        monkeypatch.setattr(fmvscreen.baselines, "_BLOCK_CELLS", budget)
         for (y, kind, schemes), want in zip(cases, whole):
             assert np.array_equal(fks_scores(x, y, kind, schemes), want)
 
 
 def test_fks_count_memory_stays_within_budget(monkeypatch) -> None:
     # 100 classes of two rows: unblocked, the counts alone would take
-    # n * 100 * p = 4 MB; a 200 kB budget must bound the whole call
+    # n * 100 * p = 4 MB; a budget of 200 kB (24 bytes a budget cell) must
+    # bound the whole call
     rng = np.random.default_rng(46)
     n, p = 200, 200
     x = rng.normal(size=(n, p))
     y = rng.permutation(np.arange(n) % 100).astype(float)
     ranked = ranked_columns(x)
     want = fks_scores(x, y, ResponseKind.CATEGORICAL, ranked=ranked)
-    monkeypatch.setattr(fmvscreen.baselines, "_COUNT_BYTES", 200_000)
+    monkeypatch.setattr(fmvscreen.baselines, "_BLOCK_CELLS", 200_000 // 24)
     tracemalloc.start()
     try:
         got = fks_scores(x, y, ResponseKind.CATEGORICAL, ranked=ranked)
@@ -311,6 +312,69 @@ def test_fks_count_memory_stays_within_budget(monkeypatch) -> None:
         tracemalloc.stop()
     assert np.array_equal(got, want)
     assert peak < 1_000_000
+
+
+def test_fks_takes_the_widest_float_among_equal_exact_gaps() -> None:
+    # two slices of 3: the exact gap 1/3 is reached at sorted positions 0, 2
+    # and 4, where the floats read fl(1/3) - 0, fl(2/3) - fl(1/3) and
+    # 1 - fl(2/3); the last is one ulp wider, so the first argmax alone
+    # would be wrong
+    labels_in_order = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+    x = np.arange(6.0)
+    assert 2 / 3 - 1 / 3 < 1 - 2 / 3
+    for perm in (np.arange(6), np.array([4, 0, 5, 2, 1, 3])):
+        score = fks_score(x[perm], labels_in_order[perm], ResponseKind.CATEGORICAL, [2])
+        assert score == 1 - 2 / 3
+    labels_list = labels_for_schemes(labels_in_order, ResponseKind.CATEGORICAL, None)
+    assert fks_oracle(x, labels_list) == 1 - 2 / 3
+
+
+def test_fks_past_the_exact_lcm_matches_the_oracle() -> None:
+    # 30 classes of sizes 31 to 60: the lcm of the sizes has 84 bits, so fks
+    # takes its float branch
+    rng = np.random.default_rng(47)
+    y = rng.permutation(np.repeat(np.arange(30), np.arange(31, 61))).astype(float)
+    n = y.size
+    x = np.column_stack([y + rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         rng.normal(size=n), np.full(n, -0.0)])
+    labels_list = labels_for_schemes(y, ResponseKind.CATEGORICAL, None)
+    assert _gap_type(labels_list[0]) == np.float64
+    assert math.lcm(*range(31, 61)) > _EXACT_LCM
+    scores = fks_scores(x, y, ResponseKind.CATEGORICAL)
+    for j in range(x.shape[1]):
+        assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+    perm = rng.permutation(n)
+    assert fks_scores(x[perm], y[perm], ResponseKind.CATEGORICAL).tobytes() == scores.tobytes()
+    assert fks_scores(x[perm], y[perm], ResponseKind.CATEGORICAL,
+                      ranked=ranked_columns(x[perm])).tobytes() == scores.tobytes()
+
+
+def test_view_and_fks_memory_stays_flat_in_p() -> None:
+    # at 200 x 20000 the view build and fks go through column blocks of
+    # about 2**18 cells, so their peaks above the 8 B/cell input stay near
+    # the 1 B/cell of the ranks; whole-matrix temporaries would take 17-19
+    # B/cell (tracemalloc, numpy 2.4: 2.1, 2.7 and 1.7 B/cell)
+    rng = np.random.default_rng(48)
+    n, p = 200, 20000
+    x = rng.normal(size=(n, p))
+    x[:, ::7] = np.round(x[:, ::7], 1)  # one column in seven has tie runs
+    y = x[:, 0] + rng.normal(size=n)
+
+    def peak_per_cell(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] / (n * p)
+        finally:
+            tracemalloc.stop()
+
+    ranked, view_peak = peak_per_cell(lambda: ranked_columns(x))
+    alone, alone_peak = peak_per_cell(lambda: fks_scores(x, y))
+    shared, shared_peak = peak_per_cell(lambda: fks_scores(x, y, ranked=ranked))
+    assert alone.tobytes() == shared.tobytes()
+    assert view_peak < 3.0
+    assert alone_peak < 4.0
+    assert shared_peak < 3.0
 
 
 def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> None:

@@ -1,7 +1,7 @@
-"""Property tests for the rank kernels: Kendall, the MV kernel and fks
-against their O(n^2) oracles, bit-identity under row permutation, and fks
-and fmv bit-identical under a strictly increasing map of y, over tied, tiny
-(n = 2, 3), count and categorical inputs with -0.0 next to 0.0."""
+"""Property tests for the rank kernels: Kendall, the MV kernel, fused fmv
+and fks against their O(n^2) oracles, bit-identity under row permutation,
+and fks and fmv bit-identical under a strictly increasing map of y, over
+tied, tiny (n = 2, 3), count and categorical inputs with -0.0 next to 0.0."""
 
 from __future__ import annotations
 
@@ -135,6 +135,17 @@ def test_mv_kernel_bit_identical_under_row_permutation(case, rnd) -> None:
     assert mv_hat_columns_multi(x[perm], moved).tobytes() == base
     assert mv_hat_columns_multi(x[perm], moved,
                                 ranked=ranked_columns(x[perm])).tobytes() == base
+
+
+@SETTINGS
+@given(response_cases())
+def test_fused_fmv_matches_bruteforce_sum(case) -> None:
+    x, y, kind, schemes = case
+    fused = fmv_scores(x, y, kind, schemes)[0]
+    live = [lab for lab in labels_for_schemes(y, kind, schemes) if lab is not None]
+    for j in range(x.shape[1]):
+        want = sum(mv_hat_bruteforce(x[:, j], labels) for labels in live)
+        assert abs(fused[j] - want) <= 1e-12
 
 
 @SETTINGS

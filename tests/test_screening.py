@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,3 +207,14 @@ def test_fmv_blocks_name_the_bad_column_of_x(monkeypatch) -> None:
     x[3, 7] = np.nan
     with pytest.raises(InputError, match="column 7 contains non-finite"):
         fmv_scores(x, x[:, 0] + 1.0, schemes=[3])
+
+
+def test_import_leaves_the_thread_pool_unloaded() -> None:
+    # concurrent.futures (with logging) is only imported where a pool is
+    # made, so a single-threaded process never pays for it
+    src = str(Path(fmvscreen.screening.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, fmvscreen; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
