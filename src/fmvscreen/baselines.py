@@ -179,8 +179,7 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     n, p = x.shape
     y = check_response(y, n)
     check_ranked(ranked, x)
-    if schemes is None:
-        schemes = default_schemes(n)
+    schemes = default_schemes(n) if schemes is None else list(schemes)
     live = [lab for lab in labels_for_schemes(y, kind, schemes)
             if lab is not None and lab.s_eff > 1]
     out = np.zeros(p)

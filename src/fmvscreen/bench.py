@@ -4,7 +4,9 @@ One replication draws an instance, scores it with every requested screener,
 and records each screener's minimum model size: the smallest ranking prefix
 containing the whole active set. Replications use independently derived
 seeds, so any execution order (or thread count) produces the same report.
-A replication whose scores a screener flags as degenerate keeps its MMS in
+A replication is flagged as degenerate for a screener when the screener
+rejects the instance (``InputError`` or ``DegenerateSlicesError``) or
+returns all-zero scores, which rank nothing. It keeps its MMS in
 ``MmsSummary.mms`` but stays out of that screener's ``median``, ``sd`` and
 ``se``.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from .baselines import fks_scores, kendall_scores, pearson_scores
 from .errors import DegenerateSlicesError, InputError
 from .mv import ranked_columns
-from .screening import _resolve_threads, fmv_scores, rank_descending
+from .screening import _resolve_threads, _thread_map, fmv_scores, rank_descending
 from .simulate import (
     ExperimentSpec,
     active_set,
@@ -77,25 +79,16 @@ def mms(scores, active) -> int:
     return int(max(ranks[a - 1] for a in active))
 
 
-def _fmv_scorer(ds, schemes, ranked):
-    fused, _, degenerate = fmv_scores(ds.x, ds.y, ds.kind, schemes, ranked=ranked)
-    return fused, degenerate
-
-
-def _flag_all_zero(scores):
-    # an all-zero score vector ranks nothing (a constant response, say)
-    return scores, bool(np.all(scores == 0.0))
-
-
 # each scorer takes the dataset, the slice counts and the ranked view of x
-# (None when the scorer is to build its own), which fmv, fks and rcs read
+# (None when the scorer is to build its own), which fmv, fks and rcs read,
+# and returns the scores
 _SCORERS = {
-    "fmv": _fmv_scorer,
-    "sis": lambda ds, schemes, ranked: (pearson_scores(ds.x, ds.y), False),
-    "rcs": lambda ds, schemes, ranked: _flag_all_zero(
-        kendall_scores(ds.x, ds.y, ranked=ranked)),
-    "fks": lambda ds, schemes, ranked: _flag_all_zero(
-        fks_scores(ds.x, ds.y, ds.kind, schemes, ranked=ranked)),
+    "fmv": lambda ds, schemes, ranked: fmv_scores(ds.x, ds.y, ds.kind, schemes,
+                                                  ranked=ranked)[0],
+    "sis": lambda ds, schemes, ranked: pearson_scores(ds.x, ds.y),
+    "rcs": lambda ds, schemes, ranked: kendall_scores(ds.x, ds.y, ranked=ranked),
+    "fks": lambda ds, schemes, ranked: fks_scores(ds.x, ds.y, ds.kind, schemes,
+                                                  ranked=ranked),
 }
 _READS_RANKED = frozenset({"fmv", "fks", "rcs"})
 
@@ -105,11 +98,13 @@ SCREENER_NAMES = tuple(sorted(_SCORERS))
 def _score_one(name: str, instance, schemes, ranked) -> tuple[np.ndarray, bool]:
     ds = instance.dataset
     try:
-        return _SCORERS[name](ds, schemes, ranked)
+        scores = _SCORERS[name](ds, schemes, ranked)
     except (InputError, DegenerateSlicesError):
         # a pathological draw (e.g. zero-variance response) flags, never
         # aborts; any other error is a bug and must not read as a good MMS
         return np.zeros(ds.p), True
+    # all-zero scores (a constant response, say) rank nothing
+    return scores, not scores.any()
 
 
 def run_replications(spec: ExperimentSpec, screeners, reps: int,
@@ -148,15 +143,7 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
             values[name][r] = mms(scores, instance.active)
             flagged[name][r] = degenerate
 
-    n_workers = _resolve_threads(threads)
-    if n_workers <= 1 or reps == 1:
-        for r in range(reps):
-            one_rep(r)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only where a pool is made
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(one_rep, range(reps)))
+    _thread_map(one_rep, range(reps), _resolve_threads(threads))
 
     n_active = len(active_set(spec.id))
     out = []

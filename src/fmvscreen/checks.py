@@ -1,4 +1,5 @@
-"""Input checks shared by every scorer, so each rejects bad data the same way."""
+"""Input checks shared by every scorer, so each rejects bad data the same way:
+once, at its entry, before any work; the code below trusts what they return."""
 
 from __future__ import annotations
 
@@ -35,6 +36,12 @@ def check_response(y, n: int) -> np.ndarray:
     if not np.isfinite(y).all():
         raise InputError("y contains non-finite entries")
     return y
+
+
+def check_counts(y: np.ndarray) -> None:
+    """Rejects a checked response that is not nonnegative integer-valued."""
+    if np.any(y < 0) or np.any(y != np.floor(y)):
+        raise InputError("count response must be nonnegative integer-valued")
 
 
 def check_ranked(ranked, x: np.ndarray) -> None:

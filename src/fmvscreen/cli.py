@@ -75,8 +75,6 @@ def _parse_schemes(text: str, n: int) -> list[int]:
         schemes = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise InputError(f"bad --schemes value {text!r}") from exc
-    if not schemes:
-        raise InputError("schemes list is empty")
     return schemes
 
 

@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import check_matrix, check_ranked, check_vector
+from .checks import check_matrix, check_vector
 from .errors import InputError
 from .slicing import SliceLabels
 
 __all__ = [
     "mv_hat",
     "mv_hat_bruteforce",
-    "mv_hat_columns_multi",
     "ranked_columns",
     "tie_starts",
 ]
@@ -157,17 +156,14 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     sort and one rank scatter, a radix sort of the tied columns' ranks, then
     per slicing one sort of small unsigned keys and one segmented sum, so
     O(p * (n log n) * (1 + len(labels_list))), the column sort skipped when
-    ``ranked`` passes the view of x already built. Entries of ``labels_list`` may be None (degenerate slicing),
-    contributing a zero row.
+    ``ranked`` passes the view of x already built. Entries of ``labels_list``
+    may be None (degenerate slicing), contributing a zero row. The kernel
+    checks nothing: its caller passes a checked x (``check_matrix``), labels
+    over its n rows, and, if any, a view of x's shape (``check_ranked``).
     """
-    x = check_matrix(x)
     n, p = x.shape
-    check_ranked(ranked, x)
-    live = [lab for lab in labels_list if lab is not None]
-    for lab in live:
-        _check_labels(n, lab)
     out = np.zeros((len(labels_list), p))
-    if not any(lab.s_eff > 1 for lab in live):
+    if not any(lab is not None and lab.s_eff > 1 for lab in labels_list):
         return out
 
     ranks = ranked_columns(x) if ranked is None else ranked
@@ -204,7 +200,9 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
 
 def mv_hat(x, labels: SliceLabels) -> float:
     """The statistic for a single predictor column."""
-    return float(mv_hat_columns_multi(check_vector(x)[:, None], [labels])[0, 0])
+    x = check_matrix(check_vector(x)[:, None])
+    _check_labels(x.shape[0], labels)
+    return float(mv_hat_columns_multi(x, [labels])[0, 0])
 
 
 def mv_hat_bruteforce(x, labels: SliceLabels) -> float:
@@ -213,11 +211,9 @@ def mv_hat_bruteforce(x, labels: SliceLabels) -> float:
     Builds the full indicator matrix I(x_k <= x_i) and averages the squared
     ECDF gaps slice by slice, with no sorting shortcuts.
     """
-    arr = check_vector(x)
+    arr = check_matrix(check_vector(x)[:, None])[:, 0]
     n = arr.size
     _check_labels(n, labels)
-    if not np.isfinite(arr).all():
-        raise InputError("column 0 contains non-finite entries")
 
     leq = arr[None, :] <= arr[:, None]  # leq[i, k] = I(x_k <= x_i)
     fhat = leq.mean(axis=1)

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .checks import check_matrix, check_ranked, check_response, check_vector
+from .checks import check_counts, check_matrix, check_ranked, check_response, check_vector
 from .errors import DegenerateSlicesError, InputError
 from .mv import _BLOCK_CELLS, _column_blocks, mv_hat_columns_multi
 from .slicing import (
@@ -58,10 +58,8 @@ class Dataset:
         object.__setattr__(self, "x", x)
         if n < 2 or p < 1:
             raise InputError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
-        if self.kind is ResponseKind.COUNT and (
-            np.any(y < 0) or np.any(y != np.floor(y))
-        ):
-            raise InputError("count response must be nonnegative integer-valued")
+        if self.kind is ResponseKind.COUNT:
+            check_counts(y)
         if self.names is not None and len(self.names) != p:
             raise InputError(f"{len(self.names)} names for {p} columns")
 
@@ -110,10 +108,12 @@ def default_selection_size(n: int) -> int:
 def labels_for_schemes(y, kind: ResponseKind, schemes) -> list[SliceLabels | None]:
     """Build one slicing per scheme; None marks a degenerate scheme.
 
-    Categorical responses use the label partition once, ignoring the slice
-    counts, so the returned list has length 1.
+    The caller has checked y. An empty scheme list is rejected for every
+    kind. Categorical responses use the label partition once, ignoring the
+    slice counts (which may then be None), so the returned list has length 1.
     """
-    y = np.asarray(y, dtype=np.float64)
+    if schemes is not None and len(schemes) == 0:
+        raise InputError("schemes must be nonempty")
     if kind is ResponseKind.CATEGORICAL:
         try:
             return [build_categorical_slices(y)]
@@ -145,13 +145,13 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     reads its rows of ``ranked``, x's ranked view (``mv.ranked_columns``)
     when the caller has built it already, or else sorts its own columns.
     Every column is scored alone, so the blocking cannot change the result.
+    The inputs are checked here once, and the kernel trusts them.
     """
     x = check_matrix(x)
-    check_ranked(ranked, x)
     n, p = x.shape
+    y = check_response(y, n)
+    check_ranked(ranked, x)
     schemes = default_schemes(n) if schemes is None else list(schemes)
-    if not schemes:
-        raise InputError("schemes must be nonempty")
     labels_list = labels_for_schemes(y, kind, schemes)
     degenerate = all(lab is None for lab in labels_list)
     n_threads = _resolve_threads(threads)
@@ -162,14 +162,7 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         view = None if ranked is None else ranked[lo:hi]
         return mv_hat_columns_multi(x[:, lo:hi], labels_list, ranked=view)
 
-    if n_threads <= 1 or len(blocks) == 1:
-        scored = [score_block(block) for block in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only where a pool is made
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            scored = list(pool.map(score_block, blocks))
-    per_scheme = np.concatenate(scored, axis=1)
+    per_scheme = np.concatenate(_thread_map(score_block, blocks, n_threads), axis=1)
     return per_scheme.sum(axis=0), per_scheme, degenerate
 
 
@@ -206,3 +199,15 @@ def _resolve_threads(threads: int) -> int:
 
         return os.cpu_count() or 1
     return threads
+
+
+def _thread_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``: a plain loop at one thread or one
+    item, else over a pool of ``threads`` workers. The pool's module is
+    imported only here, so a single-threaded process never loads it."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_response
+from .checks import check_counts, check_response
 from .errors import DegenerateSlicesError, InputError
 
 __all__ = [
@@ -110,8 +110,7 @@ def build_discrete_slices(y, s: int) -> SliceLabels:
     arr = _finite_response(y)
     if s < 2:
         raise InputError(f"slice count must be at least 2, got {s}")
-    if np.any(arr < 0) or np.any(arr != np.floor(arr)):
-        raise InputError("count response must be nonnegative integer-valued")
+    check_counts(arr)
     counts_y = arr.astype(np.int64)
     raw = np.where(counts_y < s - 1, counts_y + 1, s)
     return _labels_from_raw(raw)

@@ -490,10 +490,12 @@ def test_matrix_helpers_match_scalar_paths() -> None:
 
 
 SCORERS = {
-    "fmv": lambda x, y: fmv_scores(x, y, schemes=[3])[0],
+    "fmv": lambda x, y, kind=ResponseKind.CONTINUOUS, schemes=(3,):
+        fmv_scores(x, y, kind, schemes)[0],
     "sis": pearson_scores,
     "rcs": kendall_scores,
-    "fks": lambda x, y: fks_scores(x, y, schemes=[3]),
+    "fks": lambda x, y, kind=ResponseKind.CONTINUOUS, schemes=(3,):
+        fks_scores(x, y, kind, schemes),
 }
 
 
@@ -514,6 +516,27 @@ def test_scorers_reject_non_finite_response(name) -> None:
     y[7] = np.inf
     with pytest.raises(InputError, match="non-finite"):
         SCORERS[name](rng.normal(size=(20, 3)), y)
+
+
+@pytest.mark.parametrize("name", sorted(SCORERS))
+def test_scorers_reject_a_response_of_another_length(name) -> None:
+    # checked against x before any slicing: a constant y too long, and a 2-d
+    # y, are both measured against the n rows of x
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(20, 3))
+    with pytest.raises(InputError, match=r"^y must be a vector of length 20, got shape \(30,\)$"):
+        SCORERS[name](x, np.ones(30))
+    with pytest.raises(InputError, match=r"^y must be a vector of length 20, got shape \(20, 2\)$"):
+        SCORERS[name](x, rng.normal(size=(20, 2)))
+
+
+@pytest.mark.parametrize("kind", list(ResponseKind))
+@pytest.mark.parametrize("name", ["fks", "fmv"])  # the scorers that slice y
+def test_scorers_reject_an_empty_scheme_list(name, kind) -> None:
+    rng = np.random.default_rng(27)
+    y = rng.integers(0, 3, size=20).astype(float)
+    with pytest.raises(InputError, match="^schemes must be nonempty$"):
+        SCORERS[name](rng.normal(size=(20, 3)), y, kind, [])
 
 
 # every single-column wrapper, fed the one column it expects

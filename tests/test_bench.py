@@ -124,15 +124,15 @@ def test_flagged_replications_stay_out_of_summary_statistics() -> None:
 
 
 def test_summary_statistics_use_scored_replications_only(monkeypatch) -> None:
-    # flag fmv on every other replication: its summary must equal the
-    # statistics of the unflagged MMS values alone
+    # zero fmv's scores on every other replication, which flags it: its
+    # summary must equal the statistics of the unflagged MMS values alone
     real = fmvscreen.bench._SCORERS["fmv"]
     calls = []
 
     def every_other(ds, schemes, ranked):
-        scores, _ = real(ds, schemes, ranked)
+        scores = real(ds, schemes, ranked)
         calls.append(None)
-        return scores, len(calls) % 2 == 0
+        return np.zeros_like(scores) if len(calls) % 2 == 0 else scores
 
     monkeypatch.setitem(fmvscreen.bench._SCORERS, "fmv", every_other)
     summary, = run_replications(small_spec(), ["fmv"], reps=6, base_seed=3)
@@ -142,6 +142,24 @@ def test_summary_statistics_use_scored_replications_only(monkeypatch) -> None:
     assert summary.median == float(np.median(kept))
     assert summary.sd == float(np.std(kept, ddof=1))
     assert summary.se == summary.sd / np.sqrt(3)
+
+
+@pytest.mark.parametrize("name", ["fmv", "sis", "rcs", "fks"])
+def test_all_zero_scores_flag_every_screener(monkeypatch, name) -> None:
+    # scores that rank nothing never read as a perfect MMS, whichever
+    # screener returns them; the scorer is looked up in bench at call time
+    target = {"fmv": "fmv_scores", "sis": "pearson_scores",
+              "rcs": "kendall_scores", "fks": "fks_scores"}[name]
+    real = getattr(fmvscreen.bench, target)
+
+    def zeros(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        zero = np.zeros(x.shape[1])
+        return (zero, *out[1:]) if isinstance(out, tuple) else zero
+
+    monkeypatch.setattr(fmvscreen.bench, target, zeros)
+    summary, = run_replications(small_spec(), [name], reps=2, base_seed=5)
+    assert summary.degenerate_reps == (0, 1) and summary.scored == 0
 
 
 def test_ranked_view_built_once_per_replication(monkeypatch) -> None:

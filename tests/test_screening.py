@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fmvscreen.mv
 import fmvscreen.screening
 from fmvscreen import (
     Dataset,
@@ -154,7 +155,7 @@ def test_dataset_validation() -> None:
         Dataset(y=y, x=bad)
     with pytest.raises(InputError):
         Dataset(y=y[:-1], x=x)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^count response must be nonnegative integer-valued$"):
         Dataset(y=np.array([0.5, 1.0] * 15), x=x, kind=ResponseKind.COUNT)
     with pytest.raises(InputError):
         Dataset(y=y, x=x, names=("a", "b"))
@@ -199,6 +200,43 @@ def test_fmv_column_blocks_are_bit_identical(monkeypatch, kind) -> None:
             assert fused.tobytes() == want[0].tobytes() and degenerate == want[2]
             assert sum(widths) == p and max(widths) <= 3
             assert len(widths) % threads == 0 and max(widths) - min(widths) <= 1
+
+
+def test_fmv_scores_checks_once_and_the_kernel_trusts_it(monkeypatch) -> None:
+    # eight blocks of five columns: x, y and the view are checked once at the
+    # entry, and the kernel runs none of the checks on any block
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for name in ("check_matrix", "check_response", "check_ranked", "mv_hat_columns_multi"):
+        counting(fmvscreen.screening, name)
+    for name in ("check_matrix", "check_vector", "_check_labels"):
+        counting(fmvscreen.mv, name)
+    rng = np.random.default_rng(43)
+    n, p = 30, 40
+    x = np.round(rng.normal(size=(n, p)), 1)
+    y = x[:, 0] + rng.normal(size=n)
+    want = fmv_scores(x, y, schemes=[3, 4])
+    monkeypatch.setattr(fmvscreen.screening, "_BLOCK_CELLS", 5 * n)
+    for threads, view in ((1, None), (2, ranked_columns(x))):
+        calls.clear()
+        got = fmv_scores(x, y, schemes=[3, 4], threads=threads, ranked=view)
+        assert got[1].tobytes() == want[1].tobytes()
+        assert calls.count("fmvscreen.screening.mv_hat_columns_multi") == 8
+        assert sorted(set(calls)) == ["fmvscreen.screening.check_matrix",
+                                      "fmvscreen.screening.check_ranked",
+                                      "fmvscreen.screening.check_response",
+                                      "fmvscreen.screening.mv_hat_columns_multi"]
+        assert calls.count("fmvscreen.screening.check_matrix") == 1
+        assert calls.count("fmvscreen.screening.check_response") == 1
 
 
 def test_fmv_blocks_name_the_bad_column_of_x(monkeypatch) -> None:

@@ -99,9 +99,10 @@ def test_discrete_collapses_to_single_slice() -> None:
 
 
 def test_discrete_rejects_bad_counts() -> None:
-    with pytest.raises(InputError):
+    # the one count rule Dataset applies too
+    with pytest.raises(InputError, match="^count response must be nonnegative integer-valued$"):
         build_discrete_slices([-1.0, 2.0], 3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^count response must be nonnegative integer-valued$"):
         build_discrete_slices([0.5, 2.0], 3)
 
 
