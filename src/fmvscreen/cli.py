@@ -268,10 +268,9 @@ def cmd_screen(args) -> int:
         x = np.column_stack([x, noise])
         names = names + [f"noise{i}" for i in range(1, args.noise + 1)]
 
-    kind = ResponseKind(args.kind)
     schemes = _parse_schemes(args.schemes, x.shape[0])
-    dataset = Dataset(y=y, x=x, kind=kind, names=tuple(names))
-    fused, per_scheme, degenerate = fmv_scores(dataset.x, dataset.y, kind, schemes,
+    dataset = Dataset(y=y, x=x, kind=args.kind, names=tuple(names))
+    fused, per_scheme, degenerate = fmv_scores(dataset.x, dataset.y, dataset.kind, schemes,
                                                threads=args.threads)
     if degenerate:
         # every score would be 0, and a ranking by column index reads as real
@@ -280,7 +279,7 @@ def cmd_screen(args) -> int:
     order = rank_descending(fused)
     top = order if args.dn is None else order[: min(args.dn, len(order))]
 
-    if kind is ResponseKind.CATEGORICAL:
+    if dataset.kind is ResponseKind.CATEGORICAL:
         scheme_headers = ["mv_labels"]
     else:
         scheme_headers = [f"mv_s{s}" for s in schemes]

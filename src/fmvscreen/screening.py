@@ -37,6 +37,15 @@ class ResponseKind(Enum):
     COUNT = "count"
 
 
+def _response_kind(kind) -> ResponseKind:
+    """``kind`` as a ResponseKind, from the member or its value ("count")."""
+    try:
+        return ResponseKind(kind)
+    except ValueError:
+        raise InputError(f"unknown response kind {kind!r}; expected one of "
+                         f"{', '.join(k.value for k in ResponseKind)}") from None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Response vector plus predictor matrix to be screened.
@@ -56,6 +65,7 @@ class Dataset:
         y = check_response(self.y, n)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "kind", _response_kind(self.kind))
         if n < 2 or p < 1:
             raise InputError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
         if self.kind is ResponseKind.COUNT:
@@ -108,10 +118,12 @@ def default_selection_size(n: int) -> int:
 def labels_for_schemes(y, kind: ResponseKind, schemes) -> list[SliceLabels | None]:
     """Build one slicing per scheme; None marks a degenerate scheme.
 
-    The caller has checked y. An empty scheme list is rejected for every
-    kind. Categorical responses use the label partition once, ignoring the
+    The caller has checked y. ``kind`` may be a ResponseKind or its value;
+    anything else, and an empty scheme list, is rejected for every kind.
+    Categorical responses use the label partition once, ignoring the
     slice counts (which may then be None), so the returned list has length 1.
     """
+    kind = _response_kind(kind)
     if schemes is not None and len(schemes) == 0:
         raise InputError("schemes must be nonempty")
     if kind is ResponseKind.CATEGORICAL:

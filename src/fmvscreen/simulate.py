@@ -67,7 +67,8 @@ def sample_mvn(n: int, p: int, cov: CovarianceSpec, rng: np.random.Generator) ->
     if cov.kind == "identity":
         return z
     if cov.kind == "diagonal":
-        return math.sqrt(cov.param) * z
+        z *= math.sqrt(cov.param)  # in place: the same multiply, one matrix
+        return z
     if cov.kind == "ar":
         rho = cov.param
         scale = math.sqrt(1.0 - rho * rho)
@@ -75,9 +76,12 @@ def sample_mvn(n: int, p: int, cov: CovarianceSpec, rng: np.random.Generator) ->
         del z
         xt[1:] *= scale
         tmp = np.empty(n)
-        for j in range(1, p):
-            np.multiply(xt[j - 1], rho, out=tmp)
-            np.add(tmp, xt[j], out=xt[j])
+        # the row views are made once: indexing xt[j] in the loop costs more
+        # than the multiply and add at these widths
+        rows = list(xt)
+        for before, here in zip(rows, rows[1:]):
+            np.multiply(before, rho, out=tmp)
+            np.add(tmp, here, out=here)
         return np.ascontiguousarray(xt.T)
     raise InputError(f"unknown covariance kind {cov.kind!r}")
 

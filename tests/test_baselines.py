@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fmvscreen import (
+    Dataset,
     InputError,
     ResponseKind,
     build_quantile_slices,
@@ -20,6 +21,7 @@ from fmvscreen import (
     mv_hat_bruteforce,
     pearson_score,
     pearson_scores,
+    screen,
 )
 import fmvscreen.baselines
 import fmvscreen.mv
@@ -46,6 +48,27 @@ def test_pearson_constant_column_scores_zero() -> None:
     assert pearson_score(np.full(3, 5.0), y) == 0.0
     with pytest.raises(InputError):
         pearson_score(y, np.full(3, 5.0))
+
+
+def test_pearson_constant_columns_score_exactly_zero_in_a_wide_matrix() -> None:
+    # the float mean of 200 copies of a constant need not be the constant
+    # (summed row by row, 0.1 and pi miss; summed pairwise, 1/3 and 1.1), so
+    # its centred column is not all zeros; it must still score exactly 0, as
+    # must a column of -0.0 and 0.0, while a column one ulp off is live
+    rng = np.random.default_rng(28)
+    n = 200
+    constants = [0.1, np.pi, 1 / 3, 1.1]
+    signed_zero = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    near = np.full(n, 1 / 3)
+    near[7] = np.nextafter(1 / 3, 1.0)
+    x = np.column_stack([np.full((n, len(constants)), constants), signed_zero,
+                         rng.normal(size=n), near])
+    y = rng.normal(size=n)
+    scores = pearson_scores(x, y)
+    assert scores[:5].tolist() == [0.0] * 5
+    assert scores[5] > 0.0 and scores[6] > 0.0
+    for j in range(5):
+        assert pearson_score(x[:, j], y) == 0.0
 
 
 def test_kendall_perfect_agreement() -> None:
@@ -375,6 +398,25 @@ def test_view_and_fks_memory_stays_flat_in_p() -> None:
     assert shared_peak < 3.0
 
 
+def test_sis_memory_stays_flat_in_p() -> None:
+    # at 200 x 20000 sis goes through column blocks of about 2**18 cells, so
+    # its peak above the 8 B/cell input is two block arrays, about 1 B/cell;
+    # a centred copy and its square would take 16 B/cell (tracemalloc,
+    # numpy 2.4: 1.1 B/cell)
+    rng = np.random.default_rng(49)
+    n, p = 200, 20000
+    x = rng.normal(size=(n, p))
+    y = x[:, 0] + rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        scores = pearson_scores(x, y)
+        peak = tracemalloc.get_traced_memory()[1] / (n * p)
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (p,) and scores[0] > 0.5
+    assert peak < 3.0
+
+
 def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> None:
     rng = np.random.default_rng(42)
     n = 70
@@ -537,6 +579,46 @@ def test_scorers_reject_an_empty_scheme_list(name, kind) -> None:
     y = rng.integers(0, 3, size=20).astype(float)
     with pytest.raises(InputError, match="^schemes must be nonempty$"):
         SCORERS[name](rng.normal(size=(20, 3)), y, kind, [])
+
+
+def test_a_response_kind_may_be_given_by_its_value() -> None:
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(30, 4))
+    y = np.abs(np.round(2 * rng.normal(size=30)))
+    for kind in ResponseKind:
+        for name in ("fmv", "fks"):
+            want = SCORERS[name](x, y, kind, [3])
+            assert SCORERS[name](x, y, kind.value, [3]).tobytes() == want.tobytes()
+        dataset = Dataset(y=y, x=x, kind=kind.value)
+        assert dataset.kind is kind
+        want = screen(Dataset(y=y, x=x, kind=kind)).scores
+        assert screen(dataset).scores.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["count", ResponseKind.COUNT])
+def test_a_count_kind_rejects_a_non_integer_response(kind) -> None:
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(30, 4))
+    y = np.abs(np.round(2 * rng.normal(size=30))) + 0.5
+    message = "^count response must be nonnegative integer-valued$"
+    for name in ("fmv", "fks"):
+        with pytest.raises(InputError, match=message):
+            SCORERS[name](x, y, kind, [3])
+    with pytest.raises(InputError, match=message):
+        Dataset(y=y, x=x, kind=kind)
+
+
+def test_an_unknown_response_kind_is_rejected() -> None:
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(30, 4))
+    y = rng.normal(size=30)
+    for name in ("fmv", "fks"):
+        with pytest.raises(InputError, match="^unknown response kind 'bogus'"):
+            SCORERS[name](x, y, "bogus", [3])
+    with pytest.raises(InputError, match="^unknown response kind 'bogus'"):
+        Dataset(y=y, x=x, kind="bogus")
+    with pytest.raises(InputError, match="^unknown response kind 'bogus'"):
+        labels_for_schemes(y, "bogus", [3])
 
 
 # every single-column wrapper, fed the one column it expects

@@ -1,9 +1,13 @@
 """Property tests for the rank kernels: Kendall, the MV kernel, fused fmv
 and fks against their O(n^2) oracles, bit-identity under row permutation,
 and fks and fmv bit-identical under a strictly increasing map of y, over
-tied, tiny (n = 2, 3), count and categorical inputs with -0.0 next to 0.0."""
+tied, tiny (n = 2, 3), count and categorical inputs with -0.0 next to 0.0.
+Also sis (Pearson): each column scored alone, bit for bit, over any column
+blocks, and within 1e-12 of ``np.corrcoef``."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -12,11 +16,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+import fmvscreen.baselines  # noqa: E402
 from fmvscreen import ResponseKind, fmv_scores, mv_hat_bruteforce  # noqa: E402
 from fmvscreen.baselines import (  # noqa: E402
     fks_scores,
     kendall_score_bruteforce,
     kendall_scores,
+    pearson_score,
+    pearson_scores,
 )
 from fmvscreen.mv import mv_hat_columns_multi, ranked_columns  # noqa: E402
 from fmvscreen.screening import labels_for_schemes  # noqa: E402
@@ -88,6 +95,36 @@ def response_cases(draw, kinds=tuple(ResponseKind)):
         y = draw(columns(n))
     schemes = draw(st.lists(st.integers(2, n), min_size=1, max_size=3))
     return x, y, kind, schemes
+
+
+# sis columns: multiples of 1/8 in [-125, 125], whose spread, when not
+# constant, is never small against their size, so two summation orders agree
+# to 1e-12; ties; and constant columns, exact or not in binary, with -0.0
+# next to 0.0
+EIGHTHS = st.integers(-1000, 1000).map(lambda k: k / 8)
+CONSTANTS = st.sampled_from([0.1, math.pi, 1 / 3, 1.1, -2.5, 1e6 / 3, 0.0])
+
+
+@st.composite
+def sis_cases(draw):
+    """A matrix, a non-constant response, a block width in columns, and a
+    subset of the columns; p reaches past two block edges at that width."""
+    n = draw(SIZES)
+    width = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3 * width + 1))
+    columns = []
+    for _ in range(p):
+        shape = draw(st.sampled_from(["eighths", "tied", "constant", "signed zeros"]))
+        if shape == "constant":
+            columns.append(np.full(n, draw(CONSTANTS)))
+        elif shape == "signed zeros":
+            columns.append(draw(arrays(np.float64, n, elements=st.sampled_from([-0.0, 0.0]))))
+        else:
+            elements = EIGHTHS if shape == "eighths" else TIED
+            columns.append(draw(arrays(np.float64, n, elements=elements)))
+    y = draw(arrays(np.float64, n, elements=EIGHTHS).filter(lambda v: v.min() < v.max()))
+    subset = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+    return np.column_stack(columns), y, width, subset
 
 
 def permuted(labels: SliceLabels, perm: np.ndarray) -> SliceLabels:
@@ -184,3 +221,21 @@ def test_fks_and_fmv_bit_identical_under_increasing_map_of_y(case, steps) -> Non
         fks_scores(x, y, kind, schemes).tobytes()
     assert fmv_scores(x, moved, kind, schemes)[1].tobytes() == \
         fmv_scores(x, y, kind, schemes)[1].tobytes()
+
+
+@SETTINGS
+@given(sis_cases())
+def test_sis_scores_each_column_alone(case) -> None:
+    x, y, width, subset = case
+    n, p = x.shape
+    scores = pearson_scores(x, y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fmvscreen.baselines, "_BLOCK_CELLS", width * n)
+        assert pearson_scores(x, y).tobytes() == scores.tobytes()
+    assert pearson_scores(x[:, subset], y).tobytes() == scores[subset].tobytes()
+    for j in range(p):
+        assert np.float64(pearson_score(x[:, j], y)).tobytes() == scores[j].tobytes()
+        if (x[:, j] == x[0, j]).all():
+            assert scores[j] == 0.0
+        else:
+            assert abs(scores[j] - abs(np.corrcoef(x[:, j], y)[0, 1])) <= 1e-12

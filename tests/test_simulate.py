@@ -104,6 +104,14 @@ def test_sample_mvn_ar_bytes_match_the_column_recursion(n, p) -> None:
     assert x.tobytes() == expect.tobytes()
 
 
+def test_sample_mvn_diagonal_bytes_match_the_scaled_draw() -> None:
+    # the draw is scaled in place; the multiply is the same as sqrt(v) * z
+    for v in (0.8, 2.0, 1e-3):
+        x = sample_mvn(50, 30, CovarianceSpec.diagonal(v), np.random.default_rng(10))
+        z = np.random.default_rng(10).standard_normal((50, 30))
+        assert x.tobytes() == (math.sqrt(v) * z).tobytes()
+
+
 def test_sample_mvn_diagonal_variance() -> None:
     rng = np.random.default_rng(103)
     x = sample_mvn(10000, 4, CovarianceSpec.diagonal(0.8), rng)
