@@ -191,15 +191,13 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     when ``ranked`` passes it already built), then per column block one
     radix argsort of the ranks and the tie runs of ``mv.tie_starts``, shared
     by all schemes, and per scheme O(p * n * s_eff) small-integer adds and
-    maxima in exact integers (``_widest_ecdf_gap``), with float divisions
-    only at each column's widest gaps. Memory: the columns go through blocks
-    of at most 24 * ``mv._BLOCK_CELLS`` bytes, each block cell holding its
-    8-byte sort order and, for the scheme that needs most, s_eff count-bytes
-    (two per lane once a slice holds more than 255 entries) and four
+    maxima in exact integers (``_widest_ecdf_gap``). Memory: the columns go
+    through blocks of at most 24 * ``mv._BLOCK_CELLS`` bytes, a block cell
+    holding its 8-byte sort order and, for the scheme that needs most, s_eff
+    count-bytes (two per lane past 255 entries a slice) and four
     temporaries of ``_gap_type``. With up to 8 one-byte slices and two-byte
     temporaries a block holds ``_BLOCK_CELLS`` cells, and no temporary grows
-    with p: at 200 x 20000, 1.7 bytes a cell above x with a view passed
-    (tracemalloc), most of it the view.
+    with p.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -252,14 +250,12 @@ def _widest_ecdf_gap(rows: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
     columns ``tied``, those ``inside_run``. ``rows`` is (n, p): the row at
     each column's every sorted position.
 
-    Every slice's cumulative counts are built at once in an (n, s_eff, p)
-    array of dtype ``count``, one contiguous add per sorted position, its
-    lanes ordered by slice size. Slice s's ECDF at a position is c_s / m_s,
-    with m_s its size. With L the lcm of the sizes that is h / L for the
-    integer h = c_s L / m_s, so each size group's largest and smallest
-    counts, scaled by L / m into the smallest unsigned int that holds L,
-    give every position's widest gap exactly, as the integer hi - lo. Only
-    the positions where that gap equals its column's largest, D, are read in
+    Slice s's ECDF at a position is c_s / m_s, its cumulative count over its
+    size. With L the lcm of the sizes that is h / L for the integer
+    h = c_s L / m_s, so each slice's counts, scaled by L / m_s into the
+    smallest unsigned int that holds L and folded into a running largest and
+    smallest, give every position's widest gap exactly, as hi - lo. Only the
+    positions where that gap equals its column's largest, D, are read in
     floats, as fl(h / L) - fl((h - D) / L), and the column scores the
     largest of them. That is bit-identical to evaluating every ECDF in
     floats and comparing every pair:
@@ -270,26 +266,21 @@ def _widest_ecdf_gap(rows: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
     - while L <= ``_EXACT_LCM`` (2**50) the three roundings move a gap by at
       most 3 * 2**-54, less than half of the 1 / L between two exact gaps,
       so no smaller exact gap rounds above a widest one.
-    A larger L, which only a categorical or tied response with many
-    distinct slice sizes reaches, divides each group by its size in float64
-    instead and takes every position's float gap, as the definition does.
+    Past the bound, which only a categorical or tied response with many
+    distinct slice sizes reaches, the counts are divided by their sizes in
+    float64 and every position's float gap is taken, as the definition does.
 
     Cost: O(n * p * s_eff) small-integer operations, and two divisions per
-    position at a column's widest exact gap. Memory per block cell: the
-    s_eff count lanes, four temporaries of ``_gap_type`` (float64 past the
-    bound) and a byte of mask.
+    position at a column's widest exact gap. Memory per block cell: s_eff
+    count lanes, three temporaries of ``_gap_type`` and a byte of mask.
     """
-    # lanes grouped by slice size, so each size group is a run of lanes
-    by_size = np.argsort(labels.counts, kind="stable")
-    sizes = labels.counts[by_size]
     # (n, p) slice labels in each column's sorted order
     gs = labels.g.astype(np.min_scalar_type(labels.s_eff))[rows]
     n, p = gs.shape
-    lanes = (by_size + 1).astype(gs.dtype)
-    # counts[t, k, j]: entries of lane k's slice among column j's first t + 1
+    # counts[t, k, j]: entries of slice k + 1 among column j's first t + 1
     # sorted entries; one-byte counts take the indicator as bools, uncast
-    counts = np.empty((n, sizes.size, p), dtype=count)
-    np.equal(gs[:, None, :], lanes[:, None],
+    counts = np.empty((n, labels.s_eff, p), dtype=count)
+    np.equal(gs[:, None, :], np.arange(1, labels.s_eff + 1, dtype=gs.dtype)[:, None],
              out=counts.view(bool) if counts.itemsize == 1 else counts)
     del gs
     # the row views are made once: indexing counts[t] in the loop costs more
@@ -302,36 +293,27 @@ def _widest_ecdf_gap(rows: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
     lcm = _size_lcm(labels)
     value = _gap_type(labels)
     exact = value.kind == "u"
-
-    def scaled(c, size):
+    # 0 and L (1 in floats) bound every scaled count, so they start the
+    # running largest and smallest
+    hi = np.zeros((n, p), dtype=value)
+    lo = np.full((n, p), lcm if exact else 1, dtype=value)
+    scaled = np.empty((n, p), dtype=value)
+    for k, size in enumerate(labels.counts.tolist()):
         # c / size as the integer c * (L / size) over L, or in floats past
         # the bound
         if exact:
-            return np.multiply(c, value.type(lcm // size), dtype=value)
-        return np.divide(c, size)
-
-    firsts = np.flatnonzero(np.diff(sizes, prepend=0))
-    hi = lo = None
-    for a, b in zip(firsts, [*firsts[1:], sizes.size]):
-        size = int(sizes[a])
-        if b - a == 1:  # a lone slice is its size's top and bottom
-            top = scaled(counts[:, a], size)
-            bottom = top.copy() if hi is None else top  # hi and lo change in place
+            np.multiply(counts[:, k], value.type(lcm // size), out=scaled, dtype=value)
         else:
-            top = scaled(counts[:, a:b].max(axis=1), size)
-            bottom = scaled(counts[:, a:b].min(axis=1), size)
-        if hi is None:
-            hi, lo = top, bottom
-        else:
-            np.maximum(hi, top, out=hi)
-            np.minimum(lo, bottom, out=lo)
-    del counts, top, bottom
+            np.divide(counts[:, k], size, out=scaled)
+        np.maximum(hi, scaled, out=hi)
+        np.minimum(lo, scaled, out=lo)
+    del counts, scaled
     gap = np.subtract(hi, lo, out=hi)
     if tied.size:
         gap[:, tied] = np.where(inside_run.T, 0, gap[:, tied])
-    if not exact:
-        return gap.max(axis=0)
     widest = gap.max(axis=0)
+    if not exact:
+        return widest
     # every (position, column) at its column's widest exact gap
     position, column = np.divmod(np.flatnonzero(gap == widest), p)
     low = lo[position, column]

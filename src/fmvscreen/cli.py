@@ -251,8 +251,7 @@ def cmd_screen(args) -> int:
         missing = [s for s in subset if s not in names]
         if missing:
             raise InputError(f"interaction columns not found: {', '.join(missing)}")
-        pos = [names.index(s) for s in subset]
-        pos.sort()
+        pos = sorted({names.index(s) for s in subset})  # each named column once
         inter_cols, inter_names = [], []
         for a_i, a in enumerate(pos):
             for b in pos[a_i + 1:]:

@@ -87,8 +87,8 @@ class FmvScore:
     """Per-scheme statistics for one predictor and their fused sum.
 
     ``degenerate`` marks scores computed under a response whose every slicing
-    collapsed to a single slice; the score is then 0 rather than an error so
-    one bad response never aborts a wide screen.
+    collapsed to a single slice; the score is then 0 rather than an error,
+    while ``screen`` refuses such a response.
     """
 
     per_scheme: np.ndarray
@@ -192,12 +192,19 @@ def rank_descending(scores: np.ndarray) -> np.ndarray:
 
 def screen(dataset: Dataset, schemes=None, d_n: int | None = None,
            threads: int = 1) -> ScreeningResult:
-    """Rank all predictors by fused score and keep the top d_n."""
+    """Rank all predictors by fused score and keep the top d_n.
+
+    A degenerate response raises ``DegenerateSlicesError``: every score would
+    be 0, and a ranking by column index would read as a real one.
+    """
     if d_n is None:
         d_n = default_selection_size(dataset.n)
     if d_n < 1:
         raise InputError(f"d_n must be at least 1, got {d_n}")
-    fused, _, _ = fmv_scores(dataset.x, dataset.y, dataset.kind, schemes, threads)
+    fused, _, degenerate = fmv_scores(dataset.x, dataset.y, dataset.kind, schemes, threads)
+    if degenerate:
+        raise DegenerateSlicesError("response is degenerate: "
+                                    "every slicing collapses to a single slice")
     order = rank_descending(fused)
     return ScreeningResult(scores=fused, order=order,
                            selected=order[: min(d_n, dataset.p)], d_n=d_n)

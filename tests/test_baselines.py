@@ -284,7 +284,7 @@ def test_fks_at_row_chunk_edges(n) -> None:
 
 def test_fks_two_byte_counts_and_several_size_groups() -> None:
     # one category of 300 entries forces two-byte counts; the rest have sizes
-    # 40, 25, 25 and 10, so four size groups, one of them with two slices
+    # 40, 25, 25 and 10, two of them equal
     rng = np.random.default_rng(41)
     sizes = [300, 40, 25, 25, 10]
     y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).astype(float)
@@ -298,6 +298,35 @@ def test_fks_two_byte_counts_and_several_size_groups() -> None:
         assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
     perm = rng.permutation(n)
     assert np.array_equal(fks_scores(x[perm], y[perm], ResponseKind.CATEGORICAL), scores)
+
+
+@pytest.mark.parametrize("sizes, past_exact_lcm", [
+    ([14, 6, 14, 10, 6], False),
+    # distinct primes whose lcm passes 2**50, two of them repeated
+    ([43, 11, 47, 13, 17, 19, 23, 29, 31, 37, 41, 47, 11], True),
+])
+def test_fks_categorical_scores_ignore_how_the_labels_are_numbered(sizes, past_exact_lcm) -> None:
+    # a non-monotone relabelling hands the slices to fks in another order;
+    # every max and min over slices is exact, so no bit may move
+    rng = np.random.default_rng(47)
+    k = len(sizes)
+    y = rng.permutation(np.repeat(np.arange(k), sizes))
+    n = y.size
+    x = np.column_stack([y + rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         rng.normal(size=n), np.full(n, 0.5)])
+    relabel = rng.permutation(k)
+    assert (np.diff(relabel) > 0).any() and (np.diff(relabel) < 0).any()
+    moved = (2.5 * relabel - 4.0)[y]
+    y = y.astype(float)
+    labels = labels_for_schemes(y, ResponseKind.CATEGORICAL, None)[0]
+    assert (_gap_type(labels) == np.float64) == past_exact_lcm
+    want = fks_scores(x, y, ResponseKind.CATEGORICAL)
+    assert want[0] > 0.0
+    view = ranked_columns(x)
+    for response in (y, moved):
+        for ranked in (None, view):
+            got = fks_scores(x, response, ResponseKind.CATEGORICAL, ranked=ranked)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_fks_column_blocks_are_bit_identical(monkeypatch) -> None:

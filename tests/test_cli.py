@@ -129,6 +129,19 @@ def test_screen_interactions_and_noise_reproduce_wide_design(tmp_path) -> None:
     assert ranked.read_bytes() == again.read_bytes()
 
 
+def test_screen_interactions_take_a_repeated_name_once(tmp_path) -> None:
+    # c1,c1,c2 names two columns: one product, no self-product
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=5)
+    once, repeated = tmp_path / "once.csv", tmp_path / "repeated.csv"
+    for subset, out in (("c1,c2", once), ("c1,c1,c2", repeated)):
+        assert main(["screen", "--input", str(data), "--response", "resp",
+                     "--schemes", "3", "--interactions", subset, "--out", str(out)]) == 0
+    columns = [ln.split(",")[1] for ln in repeated.read_text().strip().split("\n")[1:]]
+    assert sorted(columns) == ["c1", "c1*c2", "c2", "c3", "c4", "c5"]
+    assert repeated.read_bytes() == once.read_bytes()
+
+
 def test_screen_dn_larger_than_p_ranks_all(tmp_path) -> None:
     data = tmp_path / "toy.csv"
     write_toy_csv(data, n=40, p=5)

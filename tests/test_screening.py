@@ -12,6 +12,7 @@ import fmvscreen.mv
 import fmvscreen.screening
 from fmvscreen import (
     Dataset,
+    DegenerateSlicesError,
     InputError,
     ResponseKind,
     default_selection_size,
@@ -161,6 +162,14 @@ def test_dataset_validation() -> None:
         Dataset(y=y, x=x, names=("a", "b"))
     with pytest.raises(InputError):
         screen(make_dataset(), schemes=[3], d_n=0)
+
+
+@pytest.mark.parametrize("kind", list(ResponseKind))
+def test_screen_rejects_a_degenerate_response(kind) -> None:
+    # every score would be 0, and selected would only restate column order
+    x = np.random.default_rng(8).normal(size=(60, 5))
+    with pytest.raises(DegenerateSlicesError, match="degenerate"):
+        screen(Dataset(y=np.ones(60), x=x, kind=kind))
 
 
 def test_default_selection_size() -> None:
