@@ -10,8 +10,8 @@ import numpy as np
 from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import InputError
 from .mv import _BLOCK_CELLS, _column_blocks, ranked_columns, tie_starts
-from .screening import ResponseKind, labels_for_schemes
-from .slicing import SliceLabels, default_schemes
+from .screening import ResponseKind, _resolve_schemes, labels_for_schemes
+from .slicing import SliceLabels
 
 __all__ = [
     "pearson_score",
@@ -106,8 +106,7 @@ def kendall_scores(x: np.ndarray, y, *, ranked: np.ndarray | None = None) -> np.
 
     Every pair count is an exact integer and the final float operations are
     the same as in the pairwise definition, so the scores are bit-identical
-    to those of the former per-column merge-sort path, and to themselves
-    under any row permutation.
+    to themselves under any row permutation.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -203,7 +202,7 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     n, p = x.shape
     y = check_response(y, n)
     check_ranked(ranked, x)
-    schemes = default_schemes(n) if schemes is None else list(schemes)
+    schemes = _resolve_schemes(schemes, kind, n)
     live = [lab for lab in labels_for_schemes(y, kind, schemes)
             if lab is not None and lab.s_eff > 1]
     out = np.zeros(p)

@@ -14,7 +14,7 @@ returns all-zero scores, which rank nothing. It keeps its MMS in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,22 +47,38 @@ __all__ = [
 class MmsSummary:
     """Replicated minimum-model-size record for one (experiment, screener).
 
-    ``mms`` holds every replication's value; ``median``, ``sd`` and ``se``
-    summarise only the ``scored`` ones, those not in ``degenerate_reps``, and
-    read nan when none is.
+    It is made from ``experiment``, ``screener``, ``n_active``, ``mms`` (every
+    replication's value) and ``degenerate_reps`` (the flagged replications'
+    indices), and derives the rest: ``replications`` counts ``mms``,
+    ``scored`` the replications not flagged, and ``median``, ``sd`` and
+    ``se`` summarise those alone. With none scored the three read nan; with
+    one, ``sd`` and ``se`` read 0.0 and ``spread_defined`` (``scored > 1``)
+    is False.
     """
 
     experiment: str
     screener: str
     n_active: int
-    replications: int
-    scored: int
     mms: np.ndarray
-    median: float
-    sd: float
-    se: float
     degenerate_reps: tuple[int, ...] = ()
-    spread_defined: bool = True
+    replications: int = field(init=False)
+    scored: int = field(init=False)
+    median: float = field(init=False)
+    sd: float = field(init=False)
+    se: float = field(init=False)
+    spread_defined: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        kept = np.delete(self.mms, self.degenerate_reps)
+        spread_defined = kept.size > 1
+        median = float(np.median(kept)) if kept.size else math.nan
+        sd = (float(np.std(kept, ddof=1)) if spread_defined
+              else 0.0 if kept.size else math.nan)
+        se = sd / math.sqrt(kept.size) if spread_defined else sd
+        for name, value in (("replications", self.mms.size), ("scored", kept.size),
+                            ("median", median), ("sd", sd), ("se", se),
+                            ("spread_defined", spread_defined)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
 
 def mms(scores, active) -> int:
@@ -118,7 +134,7 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     Replication r uses the stream derived from (base_seed, r), so
     parallel execution is bit-reproducible.
     """
-    screeners = list(screeners)
+    screeners = list(dict.fromkeys(screeners))  # each name once, first-seen order
     if reps < 1:
         raise InputError(f"need at least one replication, got {reps}")
     if not screeners:
@@ -146,35 +162,26 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     _thread_map(one_rep, range(reps), _resolve_threads(threads))
 
     n_active = len(active_set(spec.id))
-    out = []
-    for name in screeners:
-        v = values[name]
-        kept = v[~flagged[name]]
-        scored = kept.size
-        spread_defined = scored > 1
-        if scored == 0:
-            median = sd = se = math.nan
-        else:
-            median = float(np.median(kept))
-            sd = float(np.std(kept, ddof=1)) if spread_defined else 0.0
-            se = sd / math.sqrt(scored) if spread_defined else 0.0
-        out.append(MmsSummary(
-            experiment=spec.id,
-            screener=name,
-            n_active=n_active,
-            replications=reps,
-            scored=scored,
-            mms=v,
-            median=median,
-            sd=sd,
-            se=se,
-            degenerate_reps=tuple(int(i) for i in np.flatnonzero(flagged[name])),
-            spread_defined=spread_defined,
-        ))
-    return out
+    return [MmsSummary(spec.id, name, n_active, values[name],
+                       tuple(int(i) for i in np.flatnonzero(flagged[name])))
+            for name in screeners]
 
 
-_CSV_HEADER = "experiment,screener,n_active,replications,scored,median,sd,se,degenerate"
+# the report's columns, with the type parse_table_csv reads each back as
+_COLUMNS = (("experiment", str), ("screener", str), ("n_active", int),
+            ("replications", int), ("scored", int), ("median", float), ("sd", float),
+            ("se", float), ("degenerate", int))
+_CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+# render_table_text's own labels and number formats; other cells print as str
+_TEXT_LABELS = {"n_active": "N#", "replications": "reps"}
+_TEXT_FORMATS = {"median": "g", "sd": ".4g", "se": ".4g"}
+
+
+def _values(s: MmsSummary) -> list:
+    """A summary's report cells in ``_COLUMNS`` order: each column reads the
+    attribute of its name, and ``degenerate`` counts the flagged replications."""
+    return [len(s.degenerate_reps) if name == "degenerate" else getattr(s, name)
+            for name, _ in _COLUMNS]
 
 
 def _sorted_rows(summaries) -> list[MmsSummary]:
@@ -191,11 +198,8 @@ def render_table_csv(summaries) -> str:
     if not summaries:
         raise InputError("no summaries to render")
     lines = [_CSV_HEADER]
-    for s in _sorted_rows(summaries):
-        lines.append(
-            f"{s.experiment},{s.screener},{s.n_active},{s.replications},{s.scored},"
-            f"{s.median!r},{s.sd!r},{s.se!r},{len(s.degenerate_reps)}"
-        )
+    # str of a Python float is its repr, so every float round-trips
+    lines += [",".join(map(str, _values(s))) for s in _sorted_rows(summaries)]
     return "\n".join(lines) + "\n"
 
 
@@ -206,29 +210,19 @@ def parse_table_csv(text: str) -> list[dict]:
         raise InputError("unrecognized report header")
     rows = []
     for ln in lines[1:]:
-        experiment, screener, n_active, reps, scored, median, sd, se, degenerate = ln.split(",")
-        rows.append({
-            "experiment": experiment,
-            "screener": screener,
-            "n_active": int(n_active),
-            "replications": int(reps),
-            "scored": int(scored),
-            "median": float(median),
-            "sd": float(sd),
-            "se": float(se),
-            "degenerate": int(degenerate),
-        })
+        cells = ln.split(",")
+        if len(cells) != len(_COLUMNS):
+            raise InputError(f"report row has {len(cells)} fields, expected "
+                             f"{len(_COLUMNS)}: {ln!r}")
+        rows.append({name: kind(cell) for (name, kind), cell in zip(_COLUMNS, cells)})
     return rows
 
 
 def render_table_text(summaries) -> str:
     """Aligned human-readable rendering of the same rows as the CSV."""
-    rows = [("experiment", "screener", "N#", "reps", "scored", "median", "sd", "se",
-             "degenerate")]
-    for s in _sorted_rows(summaries):
-        rows.append((s.experiment, s.screener, str(s.n_active), str(s.replications),
-                     str(s.scored), f"{s.median:g}", f"{s.sd:.4g}", f"{s.se:.4g}",
-                     str(len(s.degenerate_reps))))
+    rows = [[_TEXT_LABELS.get(name, name) for name, _ in _COLUMNS]]
+    rows += [[format(value, _TEXT_FORMATS.get(name, "")) for (name, _), value
+              in zip(_COLUMNS, _values(s))] for s in _sorted_rows(summaries)]
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
     return "\n".join(lines) + "\n"

@@ -13,9 +13,8 @@ import numpy as np
 
 from .bench import SCREENER_NAMES, render_table_text, run_replications, write_reports
 from .errors import InputError
-from .screening import Dataset, ResponseKind, fmv_scores, rank_descending
+from .screening import Dataset, ResponseKind, _resolve_schemes, fmv_scores, rank_descending
 from .simulate import EXPERIMENT_IDS, ExperimentSpec, derived_rng, gen_experiment
-from .slicing import default_schemes
 
 __all__ = ["main", "build_parser"]
 
@@ -68,13 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_schemes(text: str, n: int) -> list[int]:
+def _parse_schemes(text: str) -> list[int] | None:
+    """The slice counts of ``--schemes``; None for 'auto'. A count given twice
+    would enter the fused score twice, so it is rejected."""
     if text == "auto":
-        return default_schemes(n)
+        return None
     try:
         schemes = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise InputError(f"bad --schemes value {text!r}") from exc
+    repeated = [s for i, s in enumerate(schemes) if s in schemes[:i]]
+    if repeated:
+        raise InputError(f"--schemes repeats slice count {repeated[0]}")
     return schemes
 
 
@@ -267,7 +271,7 @@ def cmd_screen(args) -> int:
         x = np.column_stack([x, noise])
         names = names + [f"noise{i}" for i in range(1, args.noise + 1)]
 
-    schemes = _parse_schemes(args.schemes, x.shape[0])
+    schemes = _resolve_schemes(_parse_schemes(args.schemes), args.kind, x.shape[0])
     dataset = Dataset(y=y, x=x, kind=args.kind, names=tuple(names))
     fused, per_scheme, degenerate = fmv_scores(dataset.x, dataset.y, dataset.kind, schemes,
                                                threads=args.threads)
@@ -320,7 +324,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cases = [tok for tok in args.cases.split(",") if tok]
+    # each name once, in first-seen order, as run_replications takes screeners
+    cases = list(dict.fromkeys(tok for tok in args.cases.split(",") if tok))
     screeners = [tok for tok in args.screeners.split(",") if tok]
     if not cases:
         raise InputError("case list is empty")

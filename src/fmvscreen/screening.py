@@ -144,6 +144,15 @@ def labels_for_schemes(y, kind: ResponseKind, schemes) -> list[SliceLabels | Non
     return out
 
 
+def _resolve_schemes(schemes, kind, n: int) -> list[int] | None:
+    """``schemes`` as a list, or the default slice counts for n when None.
+    A categorical response ignores slice counts, so its None stays None and
+    no small-sample warning is raised about a scheme it never uses."""
+    if schemes is not None:
+        return list(schemes)
+    return None if _response_kind(kind) is ResponseKind.CATEGORICAL else default_schemes(n)
+
+
 def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
                schemes=None, threads: int = 1, *,
                ranked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -163,7 +172,7 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     n, p = x.shape
     y = check_response(y, n)
     check_ranked(ranked, x)
-    schemes = default_schemes(n) if schemes is None else list(schemes)
+    schemes = _resolve_schemes(schemes, kind, n)
     labels_list = labels_for_schemes(y, kind, schemes)
     degenerate = all(lab is None for lab in labels_list)
     n_threads = _resolve_threads(threads)

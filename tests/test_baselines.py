@@ -266,7 +266,7 @@ def straddling_ties(rng, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 65])
-def test_fks_at_row_chunk_edges(n) -> None:
+def test_fks_matches_oracle_on_straddling_tie_runs(n) -> None:
     rng = np.random.default_rng(n + 40)
     x = straddling_ties(rng, n)
     y_cont = x[:, 0] + rng.normal(size=n)
@@ -282,7 +282,7 @@ def test_fks_at_row_chunk_edges(n) -> None:
         assert np.array_equal(fks_scores(x[perm], y[perm], kind, schemes), scores)
 
 
-def test_fks_two_byte_counts_and_several_size_groups() -> None:
+def test_fks_two_byte_counts_with_unequal_categories() -> None:
     # one category of 300 entries forces two-byte counts; the rest have sizes
     # 40, 25, 25 and 10, two of them equal
     rng = np.random.default_rng(41)

@@ -9,6 +9,7 @@ import fmvscreen.mv
 from fmvscreen import (
     ExperimentSpec,
     InputError,
+    MmsSummary,
     mms,
     parse_table_csv,
     render_table_csv,
@@ -144,6 +145,30 @@ def test_summary_statistics_use_scored_replications_only(monkeypatch) -> None:
     assert summary.se == summary.sd / np.sqrt(3)
 
 
+def test_summary_derives_its_statistics_from_the_scored_replications() -> None:
+    summary = MmsSummary("1a", "fmv", 8, np.array([5, 3, 9, 4]), degenerate_reps=(2,))
+    assert summary.replications == 4 and summary.scored == 3 and summary.spread_defined
+    assert summary.median == 4.0
+    assert summary.sd == np.std([5, 3, 4], ddof=1)
+    assert summary.se == summary.sd / np.sqrt(3)
+
+
+def test_summary_spread_with_one_or_no_scored_replication() -> None:
+    one = MmsSummary("6", "sis", 2, np.array([7, 2]), degenerate_reps=(1,))
+    assert one.scored == 1 and not one.spread_defined
+    assert one.median == 7.0 and one.sd == 0.0 and one.se == 0.0
+    none = MmsSummary("6", "sis", 2, np.array([2, 2]), degenerate_reps=(0, 1))
+    assert none.replications == 2 and none.scored == 0 and not none.spread_defined
+    assert np.isnan(none.median) and np.isnan(none.sd) and np.isnan(none.se)
+
+
+def test_repeated_screener_name_gives_one_summary() -> None:
+    once = run_replications(small_spec(), ["sis", "fmv"], reps=2, base_seed=4)
+    repeated = run_replications(small_spec(), ["sis", "fmv", "sis"], reps=2, base_seed=4)
+    assert [s.screener for s in repeated] == ["sis", "fmv"]
+    assert render_table_csv(repeated) == render_table_csv(once)
+
+
 @pytest.mark.parametrize("name", ["fmv", "sis", "rcs", "fks"])
 def test_all_zero_scores_flag_every_screener(monkeypatch, name) -> None:
     # scores that rank nothing never read as a perfect MMS, whichever
@@ -239,6 +264,14 @@ def test_csv_round_trip() -> None:
         assert row["sd"] == s.sd
         assert row["se"] == s.se
         assert row["degenerate"] == 0
+
+
+def test_parse_rejects_a_row_of_the_wrong_width() -> None:
+    header, row = render_table_csv(
+        run_replications(small_spec(), ["fmv"], reps=2, base_seed=6)).split("\n")[:2]
+    for bad in (row + ",0", row.rsplit(",", 1)[0]):
+        with pytest.raises(InputError, match="fields"):
+            parse_table_csv(f"{header}\n{bad}\n")
 
 
 def test_write_reports_layout(tmp_path) -> None:

@@ -142,6 +142,30 @@ def test_screen_interactions_take_a_repeated_name_once(tmp_path) -> None:
     assert repeated.read_bytes() == once.read_bytes()
 
 
+def test_screen_rejects_a_repeated_slice_count(tmp_path, capsys) -> None:
+    # scheme 3 given twice would enter the fused score twice
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=5)
+    ranked = tmp_path / "ranked.csv"
+    rc = main(["screen", "--input", str(data), "--response", "resp",
+               "--schemes", "3,4,3", "--out", str(ranked)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "slice count 3" in err
+    assert not ranked.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_categorical_below_27_rows_warns_about_no_scheme(tmp_path) -> None:
+    data = tmp_path / "small.csv"
+    rows = ["resp,a,b"] + [f"{i % 3}.0,{i}.5,{(i * 7) % 5}.25" for i in range(20)]
+    data.write_text("\n".join(rows) + "\n")
+    ranked = tmp_path / "ranked.csv"
+    assert main(["screen", "--input", str(data), "--response", "resp",
+                 "--kind", "categorical", "--out", str(ranked)]) == 0
+    assert ranked.read_text().split("\n")[0] == "rank,column,fused_score,mv_labels"
+
+
 def test_screen_dn_larger_than_p_ranks_all(tmp_path) -> None:
     data = tmp_path / "toy.csv"
     write_toy_csv(data, n=40, p=5)
@@ -276,6 +300,17 @@ def test_bench_cli_writes_reports(tmp_path, capsys) -> None:
         assert (out_dir / name).exists()
     stdout = capsys.readouterr().out
     assert "experiment" in stdout and "median" in stdout
+
+
+@pytest.mark.parametrize("cases, screeners", [("1c", "sis,sis"), ("1c,1c", "sis")])
+def test_bench_cli_takes_a_repeated_name_once(tmp_path, capsys, cases, screeners) -> None:
+    out_dir = tmp_path / "reports"
+    assert main(["bench", "--cases", cases, "--screeners", screeners, "--reps", "2",
+                 "--out", str(out_dir)]) == 0
+    assert len((out_dir / "table1.csv").read_text().strip().split("\n")) == 2
+    stdout = capsys.readouterr().out.splitlines()
+    assert [ln.split()[:2] for ln in stdout[1:-1]] == [["1c", "sis"]]
+    assert stdout[-1] == f"wrote 2 report files to {out_dir}"
 
 
 def test_bench_cli_thread_count_does_not_change_reports(tmp_path) -> None:

@@ -18,6 +18,7 @@ from fmvscreen import (
     default_selection_size,
     fmv_hat,
     fmv_scores,
+    fks_scores,
     screen,
 )
 from fmvscreen.mv import ranked_columns
@@ -46,6 +47,21 @@ def test_categorical_uses_single_partition() -> None:
     score = fmv_hat(x, y, kind=ResponseKind.CATEGORICAL, schemes=[3, 4, 5])
     assert score.per_scheme.shape == (1,)
     assert 0.0 < score.fused <= 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_categorical_response_below_27_rows_warns_about_no_scheme() -> None:
+    # a categorical response ignores slice counts, so the fallback to one
+    # 3-slice scheme below n = 27 does not concern it; the kind may be a string
+    rng = np.random.default_rng(4)
+    y = np.tile([0.0, 1.0, 2.0], 7)[:20]
+    x = rng.normal(size=(20, 4)) + y[:, None]
+    for kind in ("categorical", ResponseKind.CATEGORICAL):
+        _, per_scheme, degenerate = fmv_scores(x, y, kind)
+        assert per_scheme.shape == (1, 4) and not degenerate
+        assert (fks_scores(x, y, kind) > 0).all()
+    with pytest.warns(RuntimeWarning, match="below 27"):
+        fmv_scores(x, y, "continuous")
 
 
 def test_constant_response_flags_degenerate() -> None:
