@@ -38,7 +38,8 @@ def pearson_scores(x: np.ndarray, y) -> np.ndarray:
     its own n values, so its score depends only on that column, y and n:
     never on the block width, p or BLAS threading. A column scores exactly 0
     when every entry equals its first (-0.0 equals 0.0), whatever its float
-    mean. Memory above x: two block arrays, 16 bytes a block cell, at any p.
+    mean. Memory above x: two block arrays, 16 bytes a block cell (4 MiB at
+    ``mv._BLOCK_CELLS`` = 2**17), at any p.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -179,6 +180,9 @@ def kendall_score_bruteforce(x, y) -> float:
 # gaps 1/lcm apart stay further apart than float rounding can close, up to
 # 3 * 2**-54 on each
 _EXACT_LCM = 1 << 50
+# fks's block budget in bytes per ``_BLOCK_CELLS`` cell: its lane loop pays a
+# Python step per row per block, so it keeps wider blocks than the kernel
+_FKS_BUDGET_BYTES = 48
 
 
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
@@ -188,15 +192,16 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
 
     Cost: one column sort for x's ranked view (``mv.ranked_columns``; none
     when ``ranked`` passes it already built), then per column block one
-    radix argsort of the ranks and the tie runs of ``mv.tie_starts``, shared
-    by all schemes, and per scheme O(p * n * s_eff) small-integer adds and
-    maxima in exact integers (``_widest_ecdf_gap``). Memory: the columns go
-    through blocks of at most 24 * ``mv._BLOCK_CELLS`` bytes, a block cell
-    holding its 8-byte sort order and, for the scheme that needs most, s_eff
-    count-bytes (two per lane past 255 entries a slice) and four
-    temporaries of ``_gap_type``. With up to 8 one-byte slices and two-byte
-    temporaries a block holds ``_BLOCK_CELLS`` cells, and no temporary grows
-    with p.
+    radix argsort of the ranks, one gather of each packed slice code
+    (``_packed_codes``) through it and the tie runs of ``mv.tie_starts``,
+    shared by all schemes, and per scheme O(p * n * s_eff) small-integer
+    adds and maxima in exact integers (``_widest_ecdf_gap``). Memory: the
+    columns go through blocks of at most ``_FKS_BUDGET_BYTES`` *
+    ``mv._BLOCK_CELLS`` bytes. A block cell holds, at its fullest, either
+    its 8-byte sort order and its codes gathered and transposed, or the
+    codes and, for the scheme that needs most, s_eff count-bytes (two per
+    lane past 255 entries a slice), its labels and four temporaries of
+    ``_gap_type``. No temporary grows with p.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -210,24 +215,49 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         return out
     if ranked is None:
         ranked = ranked_columns(x)
+    codes, fields = _packed_codes(live)
     count_types = [np.min_scalar_type(labels.counts.max()) for labels in live]
-    # a block cell's bytes: the sort order, then the counts and temporaries
-    # of the scheme that needs most; 24 of them (8 one-byte slices, two-byte
-    # temporaries) fit _BLOCK_CELLS cells in a block
-    cell_bytes = 8 + max(labels.s_eff * count.itemsize + 4 * _gap_type(labels).itemsize
-                         for labels, count in zip(live, count_types))
-    for lo, hi in _column_blocks(p, 24 * _BLOCK_CELLS // (n * cell_bytes)):
-        # rows[t, j]: the row at column j's sorted position t
-        rows = np.ascontiguousarray(np.argsort(ranked[lo:hi], axis=1, kind="stable").T)
+    # a block cell's bytes at their most: the 8-byte sort order while a code
+    # is gathered and transposed, or the codes with, for the scheme that
+    # needs most, its count lanes and its labels or four gap temporaries
+    code_bytes = sum(code.itemsize for code in codes)
+    scheme_bytes = max(labels.s_eff * count.itemsize
+                       + max(codes[c].itemsize, 4 * _gap_type(labels).itemsize)
+                       for labels, count, (c, _) in zip(live, count_types, fields))
+    cell_bytes = max(8 + 2 * code_bytes, code_bytes + scheme_bytes)
+    for lo, hi in _column_blocks(p, _FKS_BUDGET_BYTES * _BLOCK_CELLS // (n * cell_bytes)):
+        order = np.argsort(ranked[lo:hi], axis=1, kind="stable")
+        # block[c][t, j]: code c of the row at column j's sorted position t
+        block = [np.ascontiguousarray(code[order].T) for code in codes]
+        del order
         tied, starts = tie_starts(ranked[lo:hi])
         # on tied columns only a tie run's last position holds the ECDF there
         inside_run = np.zeros(starts.shape, dtype=bool)
         np.equal(starts[:, 1:], starts[:, :-1], out=inside_run[:, :-1])
         del starts
-        for labels, count in zip(live, count_types):
-            out[lo:hi] += _widest_ecdf_gap(rows, tied, inside_run, labels, count)
-        del rows, inside_run  # before the next block allocates its own
+        for labels, count, (c, shift) in zip(live, count_types, fields):
+            out[lo:hi] += _widest_ecdf_gap(block[c], shift, tied, inside_run, labels, count)
+        del block, inside_run  # before the next block allocates its own
     return out
+
+
+def _packed_codes(live) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
+    """Every slicing's labels g - 1 packed into per-row codes of at most 64
+    bits, ``bit_length(s_eff - 1)`` bits a slicing, filled greedily in order,
+    each code in the smallest unsigned dtype that holds its bits; and for
+    each slicing, the index of its code and its field's shift there."""
+    fields, used = [], []
+    for labels in live:
+        width = int(labels.s_eff - 1).bit_length()
+        if not used or used[-1] + width > 64:
+            used.append(0)
+        fields.append((len(used) - 1, used[-1]))
+        used[-1] += width
+    codes = [np.zeros(live[0].n, dtype=np.min_scalar_type((1 << bits) - 1)) for bits in used]
+    for labels, (c, shift) in zip(live, fields):
+        code = codes[c]
+        code |= (labels.g - 1).astype(code.dtype) << code.dtype.type(shift)
+    return codes, fields
 
 
 def _size_lcm(labels: SliceLabels) -> int:
@@ -242,12 +272,13 @@ def _gap_type(labels: SliceLabels) -> np.dtype:
     return np.min_scalar_type(lcm) if lcm <= _EXACT_LCM else np.dtype(np.float64)
 
 
-def _widest_ecdf_gap(rows: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
-                     labels: SliceLabels, count) -> np.ndarray:
+def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
+                     inside_run: np.ndarray, labels: SliceLabels, count) -> np.ndarray:
     """Per column of a block, the largest gap between two slices' ECDFs over
     the sorted positions that end a tie run: every position but, on the
-    columns ``tied``, those ``inside_run``. ``rows`` is (n, p): the row at
-    each column's every sorted position.
+    columns ``tied``, those ``inside_run``. ``code`` is (n, p): the packed
+    slice code (``_packed_codes``) of the row at each column's every sorted
+    position, whose bits from ``shift`` on hold this slicing's labels g - 1.
 
     Slice s's ECDF at a position is c_s / m_s, its cumulative count over its
     size. With L the lcm of the sizes that is h / L for the integer
@@ -271,15 +302,19 @@ def _widest_ecdf_gap(rows: np.ndarray, tied: np.ndarray, inside_run: np.ndarray,
 
     Cost: O(n * p * s_eff) small-integer operations, and two divisions per
     position at a column's widest exact gap. Memory per block cell: s_eff
-    count lanes, three temporaries of ``_gap_type`` and a byte of mask.
+    count lanes with the labels in the code's dtype, then three temporaries
+    of ``_gap_type``, and four with a byte of mask once the lanes are freed.
     """
-    # (n, p) slice labels in each column's sorted order
-    gs = labels.g.astype(np.min_scalar_type(labels.s_eff))[rows]
+    # (n, p) slice labels g - 1 in each column's sorted order, left in their
+    # field of the code: (g - 1) << shift
+    field = ((1 << int(labels.s_eff - 1).bit_length()) - 1) << shift
+    gs = np.bitwise_and(code, code.dtype.type(field))
     n, p = gs.shape
     # counts[t, k, j]: entries of slice k + 1 among column j's first t + 1
     # sorted entries; one-byte counts take the indicator as bools, uncast
     counts = np.empty((n, labels.s_eff, p), dtype=count)
-    np.equal(gs[:, None, :], np.arange(1, labels.s_eff + 1, dtype=gs.dtype)[:, None],
+    slices = np.arange(labels.s_eff, dtype=code.dtype) << code.dtype.type(shift)
+    np.equal(gs[:, None, :], slices[:, None],
              out=counts.view(bool) if counts.itemsize == 1 else counts)
     del gs
     # the row views are made once: indexing counts[t] in the loop costs more

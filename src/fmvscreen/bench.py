@@ -214,7 +214,11 @@ def parse_table_csv(text: str) -> list[dict]:
         if len(cells) != len(_COLUMNS):
             raise InputError(f"report row has {len(cells)} fields, expected "
                              f"{len(_COLUMNS)}: {ln!r}")
-        rows.append({name: kind(cell) for (name, kind), cell in zip(_COLUMNS, cells)})
+        try:
+            row = {name: kind(cell) for (name, kind), cell in zip(_COLUMNS, cells)}
+        except ValueError as exc:
+            raise InputError(f"report row has a malformed field ({exc}): {ln!r}") from None
+        rows.append(row)
     return rows
 
 

@@ -18,11 +18,13 @@ sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
 ``mv_hat_columns_multi``, where b_k is entry k's rank. Per scheme it sorts
 one small unsigned key per cell, so it costs O(p * n log n * (1 + schemes)).
 Two baselines read the same view. fks argsorts the ranks once per column
-block (a radix sort of small unsigned ints), then accumulates, per scheme,
-every slice's cumulative counts at once, S count-bytes per cell (S = s_eff,
-one byte per lane while slices hold at most 255 entries), and finds each
-column's widest ECDF gap in exact integers, with floats only at that gap,
-so O(p * n * sum s_eff) small-integer operations. rcs (Kendall) compares
+block (a radix sort of small unsigned ints) and gathers every scheme's
+slice labels through that order once, packed into per-row codes of at most
+64 bits. It then drops the order and, per scheme, accumulates every slice's
+cumulative counts at once, S count-bytes per cell (S = s_eff, one byte per
+lane while slices hold at most 255 entries), and finds each column's
+widest ECDF gap in exact integers, with floats only at that gap, so
+O(p * n * sum s_eff) small-integer operations. rcs (Kendall) compares
 the ranks themselves, and counts the pairs tied in x from their sums.
 ``tie_starts`` picks out the tied columns and their sorted ranks for the
 readers that need tie runs. A caller that scores one matrix several ways
@@ -31,10 +33,11 @@ paid once.
 
 ``_BLOCK_CELLS`` is the one cell budget. ``ranked_columns`` builds the view
 over column blocks of at most that many cells, ``screening.fmv_scores``
-scores the kernel over the same width, and fks sizes its blocks from it
-(``_BLOCK_CELLS`` cells with up to 8 one-byte slices, fewer with more), so
-no temporary grows with p. ``_column_blocks`` is the one helper for every
-column-block loop, and a block's view is the rows ``ranked[lo:hi]``.
+scores the kernel and sis (``baselines.pearson_scores``) centres its
+columns over the same width, and fks sizes its blocks from it in bytes,
+``baselines._FKS_BUDGET_BYTES`` per budget cell, so no temporary grows
+with p. ``_column_blocks`` is the one helper for every column-block loop,
+and a block's view is the rows ``ranked[lo:hi]``.
 """
 
 from __future__ import annotations
@@ -53,11 +56,14 @@ __all__ = [
 ]
 
 
-# cells of x per column block: the MV kernel, the ranked view's build and fks
-# each work over column blocks of about this many cells, so their temporaries
-# stay within a fixed budget at any p (the kernel holds up to about 18 bytes
-# a block cell when the block sorts its own columns, 13 with a view passed in)
-_BLOCK_CELLS = 1 << 18
+# cells of x per column block: the MV kernel, the ranked view's build and sis
+# each work over column blocks of about this many cells, and fks over blocks
+# of a byte budget sized from it, so their temporaries stay within a fixed
+# budget at any p (the kernel holds up to about 18 bytes a block cell when
+# the block sorts its own columns, 13 with a view passed in; the view build
+# 18 to 19). At 2**17 a block is a fifth of a 200 x 3000 matrix and a
+# quarter of a 400 x 1000 one
+_BLOCK_CELLS = 1 << 17
 
 
 def _check_labels(n: int, labels: SliceLabels) -> None:
@@ -76,10 +82,11 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
     The ranks are built over column blocks of at most ``_BLOCK_CELLS`` cells
     into one preallocated (p, n) array. Each block's columns are copied into
     a contiguous array, argsorted along its rows, and then sorted in place
-    for the tie runs, so above the result only one block's float copy and
-    int64 order are alive. Every column is ranked alone, so the blocks cannot
-    change the result, and the order within a tie run does not matter, so
-    the default (unstable) sort serves.
+    for the tie runs, so above the result only one block's float copy, int64
+    order and sorted ranks are alive, 18 to 19 bytes a block cell at any p.
+    Every column is ranked alone, so the blocks cannot change the result,
+    and the order within a tie run does not matter, so the default
+    (unstable) sort serves.
     """
     n, p = x.shape
     count = np.min_scalar_type(n)

@@ -11,6 +11,7 @@ from fmvscreen import (
     InputError,
     ResponseKind,
     build_quantile_slices,
+    default_schemes,
     fks_score,
     fks_scores,
     fmv_hat,
@@ -25,7 +26,7 @@ from fmvscreen import (
 )
 import fmvscreen.baselines
 import fmvscreen.mv
-from fmvscreen.baselines import _gap_type, kendall_score_bruteforce
+from fmvscreen.baselines import _gap_type, _packed_codes, kendall_score_bruteforce
 from fmvscreen.mv import ranked_columns
 from fmvscreen.screening import labels_for_schemes
 
@@ -236,6 +237,7 @@ def test_fks_equals_pairwise_oracle() -> None:
     (256, [3, 7]),  # and here they no longer do
     (600, None),  # 300 categorical labels: two-byte slice labels
     (2000, [3, 13]),
+    (600, list(range(3, 31))),  # 118 bits of slice labels: two packed codes
 ])
 def test_fks_matches_oracle_at_dtype_edges(n, schemes) -> None:
     rng = np.random.default_rng(n)
@@ -251,6 +253,28 @@ def test_fks_matches_oracle_at_dtype_edges(n, schemes) -> None:
     assert labels_list[0].s_eff == (300 if schemes is None else schemes[0])
     for j in range(x.shape[1]):
         assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+    if schemes is not None:
+        # the schemes read their labels from shared codes, one scheme alone
+        # from its own; the sum in scheme order must not move a bit
+        alone = np.zeros(x.shape[1])
+        for s in schemes:
+            alone += fks_scores(x, y, kind, [s])
+        assert alone.tobytes() == scores.tobytes()
+
+
+def test_fks_packs_each_scheme_into_a_code_of_at_most_64_bits() -> None:
+    # bit_length(s_eff - 1) bits a scheme: 10 for schemes 3-6, 16 for 3-8,
+    # and 182 for the default schemes 3-41 at n = 65535
+    rng = np.random.default_rng(50)
+    for n, dtypes in ((200, [np.uint16]), (400, [np.uint16]),
+                      (65535, [np.uint64, np.uint64, np.uint64])):
+        y = rng.normal(size=n)
+        live = labels_for_schemes(y, ResponseKind.CONTINUOUS, default_schemes(n))
+        codes, fields = _packed_codes(live)
+        assert [code.dtype for code in codes] == dtypes
+        for labels, (c, shift) in zip(live, fields):
+            mask = (1 << int(labels.s_eff - 1).bit_length()) - 1
+            assert np.array_equal((codes[c] >> shift) & mask, labels.g - 1)
 
 
 def straddling_ties(rng, n: int) -> np.ndarray:
@@ -346,15 +370,16 @@ def test_fks_column_blocks_are_bit_identical(monkeypatch) -> None:
 
 def test_fks_count_memory_stays_within_budget(monkeypatch) -> None:
     # 100 classes of two rows: unblocked, the counts alone would take
-    # n * 100 * p = 4 MB; a budget of 200 kB (24 bytes a budget cell) must
-    # bound the whole call
+    # n * 100 * p = 4 MB; a budget of 200 kB (fks's bytes a budget cell)
+    # must bound the whole call
     rng = np.random.default_rng(46)
     n, p = 200, 200
     x = rng.normal(size=(n, p))
     y = rng.permutation(np.arange(n) % 100).astype(float)
     ranked = ranked_columns(x)
     want = fks_scores(x, y, ResponseKind.CATEGORICAL, ranked=ranked)
-    monkeypatch.setattr(fmvscreen.baselines, "_BLOCK_CELLS", 200_000 // 24)
+    monkeypatch.setattr(fmvscreen.baselines, "_BLOCK_CELLS",
+                        200_000 // fmvscreen.baselines._FKS_BUDGET_BYTES)
     tracemalloc.start()
     try:
         got = fks_scores(x, y, ResponseKind.CATEGORICAL, ranked=ranked)
@@ -400,10 +425,11 @@ def test_fks_past_the_exact_lcm_matches_the_oracle() -> None:
 
 
 def test_view_and_fks_memory_stays_flat_in_p() -> None:
-    # at 200 x 20000 the view build and fks go through column blocks of
-    # about 2**18 cells, so their peaks above the 8 B/cell input stay near
-    # the 1 B/cell of the ranks; whole-matrix temporaries would take 17-19
-    # B/cell (tracemalloc, numpy 2.4: 2.1, 2.7 and 1.7 B/cell)
+    # at 200 x 20000 the view build goes through column blocks of about
+    # 2**17 cells and fks through blocks of its byte budget, so their peaks
+    # above the 8 B/cell input stay near the 1 B/cell of the ranks;
+    # whole-matrix temporaries would take 17-19 B/cell (tracemalloc,
+    # numpy 2.4: 1.6, 2.3 and 1.3 B/cell)
     rng = np.random.default_rng(48)
     n, p = 200, 20000
     x = rng.normal(size=(n, p))
@@ -428,10 +454,10 @@ def test_view_and_fks_memory_stays_flat_in_p() -> None:
 
 
 def test_sis_memory_stays_flat_in_p() -> None:
-    # at 200 x 20000 sis goes through column blocks of about 2**18 cells, so
+    # at 200 x 20000 sis goes through column blocks of about 2**17 cells, so
     # its peak above the 8 B/cell input is two block arrays, about 1 B/cell;
     # a centred copy and its square would take 16 B/cell (tracemalloc,
-    # numpy 2.4: 1.1 B/cell)
+    # numpy 2.4: 1.0 B/cell)
     rng = np.random.default_rng(49)
     n, p = 200, 20000
     x = rng.normal(size=(n, p))
@@ -444,6 +470,32 @@ def test_sis_memory_stays_flat_in_p() -> None:
         tracemalloc.stop()
     assert scores.shape == (p,) and scores[0] > 0.5
     assert peak < 3.0
+
+
+def test_view_and_fks_memory_at_design_7_shape() -> None:
+    # 400 x 1000 with the default schemes 3-8: the view build's blocks are
+    # a quarter of the matrix, and fks's block cells hold a two-byte packed
+    # code through the scheme loop (tracemalloc, numpy 2.4: 6.8 and 7.6
+    # B/cell above x); blocks of half the matrix, or fks's 8-byte sort order
+    # held through the scheme loop, would take 11.3 and 10.6
+    rng = np.random.default_rng(51)
+    n, p = 400, 1000
+    x = rng.normal(size=(n, p))
+    y = x[:, 0] + rng.normal(size=n)
+
+    def peak_per_cell(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] / (n * p)
+        finally:
+            tracemalloc.stop()
+
+    ranked, view_peak = peak_per_cell(lambda: ranked_columns(x))
+    scores, fks_peak = peak_per_cell(lambda: fks_scores(x, y, ranked=ranked))
+    assert scores.tobytes() == fks_scores(x, y).tobytes()
+    assert view_peak < 8.0
+    assert fks_peak < 8.5
 
 
 def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> None:

@@ -274,6 +274,13 @@ def test_parse_rejects_a_row_of_the_wrong_width() -> None:
             parse_table_csv(f"{header}\n{bad}\n")
 
 
+def test_parse_rejects_a_non_numeric_field() -> None:
+    header = fmvscreen.bench._CSV_HEADER
+    for bad in ("1a,fmv,x,2,2,1.0,0.0,0.0,0", "1a,fmv,8,2,2,one,0.0,0.0,0"):
+        with pytest.raises(InputError, match="malformed"):
+            parse_table_csv(f"{header}\n{bad}\n")
+
+
 def test_write_reports_layout(tmp_path) -> None:
     out = run_replications(small_spec(), ["fmv", "sis"], reps=2, base_seed=7)
     written = write_reports(out, tmp_path)
