@@ -13,9 +13,14 @@ def check_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InputError(f"expected an n-by-p matrix, got shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
-    if bad.size:
-        raise InputError(f"column {bad[0]} contains non-finite entries")
+    # a non-finite entry makes its column's sum non-finite, so only those
+    # columns are read entry by entry: a finite column whose sum overflows
+    # passes there, and no n-by-p temporary is made
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.reduce(x, axis=0)
+    for j in np.flatnonzero(~np.isfinite(sums)).tolist():
+        if not np.isfinite(x[:, j]).all():
+            raise InputError(f"column {j} contains non-finite entries")
     return x
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .bench import SCREENER_NAMES, render_table_text, run_replications, write_reports
 from .errors import InputError
 from .screening import Dataset, ResponseKind, _resolve_schemes, fmv_scores, rank_descending
-from .simulate import EXPERIMENT_IDS, ExperimentSpec, derived_rng, gen_experiment
+from .simulate import EXPERIMENT_IDS, ExperimentSpec, _standard_cauchy, derived_rng, gen_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -237,6 +237,8 @@ def _read_matrix(path: str, response: str) -> tuple[list[str], int, np.ndarray, 
 def cmd_screen(args) -> int:
     if args.dn is not None and args.dn < 1:
         raise InputError(f"--dn must be at least 1, got {args.dn}")
+    if args.noise < 0:
+        raise InputError(f"--noise must be at least 0, got {args.noise}")
     header, y_idx, mat, dropped = _read_matrix(args.input, args.response)
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
@@ -248,6 +250,7 @@ def cmd_screen(args) -> int:
     del mat  # x and y are copies: the parsed matrix is not held while scoring
     names = [name for j, name in enumerate(header) if j != y_idx]
 
+    added, added_names = [], []
     if args.interactions is not None:
         subset = names if args.interactions == "all" else [
             tok for tok in args.interactions.split(",") if tok
@@ -256,20 +259,15 @@ def cmd_screen(args) -> int:
         if missing:
             raise InputError(f"interaction columns not found: {', '.join(missing)}")
         pos = sorted({names.index(s) for s in subset})  # each named column once
-        inter_cols, inter_names = [], []
-        for a_i, a in enumerate(pos):
-            for b in pos[a_i + 1:]:
-                inter_cols.append(x[:, a] * x[:, b])
-                inter_names.append(f"{names[a]}*{names[b]}")
-        if inter_cols:
-            x = np.column_stack([x] + inter_cols)
-            names = names + inter_names
-
-    if args.noise > 0:
-        rng = derived_rng(args.seed, 0)
-        noise = np.tan(np.pi * (rng.random((x.shape[0], args.noise)) - 0.5))
-        x = np.column_stack([x, noise])
-        names = names + [f"noise{i}" for i in range(1, args.noise + 1)]
+        for a, b in itertools.combinations(pos, 2):
+            added.append(x[:, a] * x[:, b])
+            added_names.append(f"{names[a]}*{names[b]}")
+    if args.noise:
+        added.append(_standard_cauchy(derived_rng(args.seed, 0), (x.shape[0], args.noise)))
+        added_names += [f"noise{i}" for i in range(1, args.noise + 1)]
+    if added:
+        x = np.column_stack([x, *added])
+        names += added_names
 
     schemes = _resolve_schemes(_parse_schemes(args.schemes), args.kind, x.shape[0])
     dataset = Dataset(y=y, x=x, kind=args.kind, names=tuple(names))

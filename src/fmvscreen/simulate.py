@@ -60,8 +60,8 @@ def sample_mvn(n: int, p: int, cov: CovarianceSpec, rng: np.random.Generator) ->
 
     The ar case uses the lag-one recursion x_j = rho * x_{j-1} +
     sqrt(1 - rho^2) * z_j, which realizes the rho^|j-k| covariance exactly in
-    O(n*p) without any p-by-p factorization. It runs over the contiguous
-    rows of a transposed copy, one column of x per row.
+    O(n*p) without any p-by-p factorization. It runs in place over the
+    draw's own column views, so the matrix is written once.
     """
     z = rng.standard_normal((n, p))
     if cov.kind == "identity":
@@ -71,24 +71,23 @@ def sample_mvn(n: int, p: int, cov: CovarianceSpec, rng: np.random.Generator) ->
         return z
     if cov.kind == "ar":
         rho = cov.param
-        scale = math.sqrt(1.0 - rho * rho)
-        xt = z.T.copy()  # (p, n)
-        del z
-        xt[1:] *= scale
-        tmp = np.empty(n)
-        # the row views are made once: indexing xt[j] in the loop costs more
-        # than the multiply and add at these widths
-        rows = list(xt)
-        for before, here in zip(rows, rows[1:]):
-            np.multiply(before, rho, out=tmp)
-            np.add(tmp, here, out=here)
-        return np.ascontiguousarray(xt.T)
+        z[:, 1:] *= math.sqrt(1.0 - rho * rho)
+        # the column views are made once: indexing z[:, j] in the loop costs
+        # more than the multiply and add at these widths
+        cols = list(z.T)
+        for before, here in zip(cols, cols[1:]):
+            here += rho * before
+        return z
     raise InputError(f"unknown covariance kind {cov.kind!r}")
 
 
 def _standard_cauchy(rng: np.random.Generator, shape) -> np.ndarray:
-    # t with one degree of freedom, via the inverse-CDF map of a uniform draw
-    return np.tan(np.pi * (rng.random(shape) - 0.5))
+    # t with one degree of freedom, via the inverse-CDF map of a uniform
+    # draw, tan(pi * (u - 0.5)), computed in place
+    u = rng.random(shape)
+    u -= 0.5
+    u *= np.pi
+    return np.tan(u, out=u)
 
 
 _DEFAULT_SIZES = {"7": (400, 1000)}

@@ -21,6 +21,7 @@ from fmvscreen import (
 )
 from fmvscreen.cli import main
 from fmvscreen.errors import InputError
+from fmvscreen.simulate import _standard_cauchy, derived_rng
 
 
 def write_toy_csv(path, n=30, p=13, seed=0):
@@ -127,6 +128,50 @@ def test_screen_interactions_and_noise_reproduce_wide_design(tmp_path) -> None:
     again = tmp_path / "ranked2.csv"
     assert main(args[:-1] + [str(again)]) == 0
     assert ranked.read_bytes() == again.read_bytes()
+
+
+def test_screen_stacks_raw_then_products_then_seeded_noise(tmp_path, monkeypatch) -> None:
+    # the products follow itertools.combinations over the named columns; the
+    # noise block is the seeded Cauchy draw, tan(pi * (u - 0.5)), bit for bit
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=30, p=5)
+    raw = np.loadtxt(data, delimiter=",", skiprows=1)[:, 1:]
+    seen = []
+    real = fmvscreen.cli.fmv_scores
+
+    def spy(x, *args, **kwargs):
+        seen.append(x.copy())
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(fmvscreen.cli, "fmv_scores", spy)
+    ranked = tmp_path / "ranked.csv"
+    assert main(["screen", "--input", str(data), "--response", "resp", "--schemes", "3",
+                 "--interactions", "c4,c1,c2", "--noise", "7", "--seed", "4",
+                 "--out", str(ranked)]) == 0
+    (x,) = seen
+    assert x.shape == (30, 5 + 3 + 7)
+    assert x[:, :5].tobytes() == raw.tobytes()
+    products = [raw[:, a] * raw[:, b] for a, b in ((0, 1), (0, 3), (1, 3))]
+    assert x[:, 5:8].tobytes() == np.column_stack(products).tobytes()
+    noise = _standard_cauchy(derived_rng(4, 0), (30, 7))
+    assert x[:, 8:].tobytes() == noise.tobytes()
+    u = derived_rng(4, 0).random((30, 7))
+    assert noise.tobytes() == np.tan(np.pi * (u - 0.5)).tobytes()
+    columns = {ln.split(",")[1] for ln in ranked.read_text().strip().split("\n")[1:]}
+    assert {"c1*c2", "c1*c4", "c2*c4", "noise1", "noise7"} <= columns
+
+
+def test_screen_rejects_a_negative_noise_count(tmp_path, capsys) -> None:
+    # --noise -1 used to append no column and exit 0
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=5)
+    ranked = tmp_path / "ranked.csv"
+    rc = main(["screen", "--input", str(data), "--response", "resp",
+               "--schemes", "3", "--noise", "-1", "--out", str(ranked)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--noise" in err
+    assert not ranked.exists()
 
 
 def test_screen_interactions_take_a_repeated_name_once(tmp_path) -> None:

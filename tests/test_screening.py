@@ -162,14 +162,20 @@ def test_tie_break_is_ascending_index() -> None:
     assert result.order[0] == 0 and result.selected[0] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dataset_validation() -> None:
     rng = np.random.default_rng(12)
     x = rng.normal(size=(30, 3))
     y = rng.normal(size=30)
-    bad = x.copy()
-    bad[4, 1] = np.nan
-    with pytest.raises(InputError, match="column 1"):
-        Dataset(y=y, x=bad)
+    # a finite column of +-1e308 whose sum overflows passes the finite check
+    x[:, 0] = np.where(np.arange(30) % 3 == 2, -1e308, 1e308)
+    assert Dataset(y=y, x=x).x.tobytes() == x.tobytes()
+    for values in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+        bad = x.copy()
+        bad[4:4 + len(values), 1] = values
+        bad[9, 2] = np.nan
+        with pytest.raises(InputError, match="column 1 contains non-finite"):
+            Dataset(y=y, x=bad)
     with pytest.raises(InputError):
         Dataset(y=y[:-1], x=x)
     with pytest.raises(InputError, match="^count response must be nonnegative integer-valued$"):
