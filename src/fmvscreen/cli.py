@@ -116,26 +116,34 @@ def _parse_row(row: list[str], out: np.ndarray) -> tuple[int, str] | None:
 
 
 class _Body:
-    """The data rows of a CSV, parsed block by block into float arrays.
+    """The data rows of a CSV, parsed block by block straight into the
+    response vector ``y`` and the predictor matrix ``x`` (every column but
+    the response's).
 
-    Rows with a missing value are dropped as each block lands. Faults are
-    only recorded while reading, so the one reported is the same whatever
-    order the rows arrive in: the first row of the wrong length, else the
-    first bad cell in column-major order. Once a fault is known, no more
-    values are kept.
+    Rows with a missing value are dropped as each block lands. ``y`` and
+    ``x`` grow in place by a quarter when full, so the matrix is held once,
+    plus one block and the unfilled rows. Faults are only recorded while
+    reading, so the one reported is the same whatever order the rows arrive
+    in: the first row of the wrong length, else the first bad cell in
+    column-major order. Once a fault is known, or when the response is
+    unknown (``y_idx`` None), no more values are kept.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, y_idx: int | None):
         self.p = p
+        self.y_idx = y_idx
         self.rows = 0  # nonempty rows read so far
+        self.kept = 0  # rows written to y and x
         self.dropped = 0
-        self.blocks: list[np.ndarray] = []
+        self.y = np.empty(0)
+        self.x = np.empty((0, max(p - 1, 0)))  # a header with no cells has no response
         self.ragged: str | None = None  # message for the first row of the wrong length
         self.bad: tuple[int, int, str] | None = None  # (column, row, cell)
 
     def add_plain(self, lines: list[str]) -> None:
         """Plain lines (``_is_plain``) in one ``np.loadtxt`` call; a block it
-        rejects, or returns in another shape, goes through ``add_rows``."""
+        rejects, or returns in another shape, goes through ``add_rows``.
+        ``lines`` is emptied, so its text is not held beside the values."""
         try:
             block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64,
                                ndmin=2)
@@ -143,8 +151,10 @@ class _Body:
             block = None
         if block is None or block.shape != (len(lines), self.p):
             self.add_rows(csv.reader(lines))
+            lines.clear()
         else:
             self.rows += len(lines)
+            lines.clear()
             self._keep(block)
 
     def add_rows(self, rows) -> None:
@@ -166,12 +176,25 @@ class _Body:
         self._keep(block)
 
     def _keep(self, block: np.ndarray) -> None:
-        if self.ragged is not None or self.bad is not None:
-            self.blocks.clear()
+        if self.y_idx is None or self.ragged is not None or self.bad is not None:
             return
         keep = ~np.isnan(block).any(axis=1)
-        self.dropped += block.shape[0] - int(keep.sum())
-        self.blocks.append(block if keep.all() else block[keep])
+        if not keep.all():
+            block = block[keep]
+        self.dropped += keep.shape[0] - block.shape[0]
+        start, end = self.kept, self.kept + block.shape[0]
+        if end > self.y.shape[0]:
+            self.resize(max(end, self.y.shape[0] * 5 // 4))
+        j = self.y_idx
+        self.y[start:end] = block[:, j]
+        self.x[start:end, :j] = block[:, :j]
+        self.x[start:end, j:] = block[:, j + 1:]
+        self.kept = end
+
+    def resize(self, rows: int) -> None:
+        # in place; numpy's refcheck raises rather than leave a view dangling
+        self.y.resize(rows)
+        self.x.resize((rows, self.x.shape[1]))
 
 
 def _response_index(header: list[str], response: str) -> int:
@@ -186,36 +209,43 @@ def _response_index(header: list[str], response: str) -> int:
     return y_idx
 
 
-def _read_matrix(path: str, response: str) -> tuple[list[str], int, np.ndarray, int]:
-    """The header, the response's column index, the complete rows as a float
-    matrix and the number of rows dropped for a missing value.
+def _read_matrix(path: str, response: str
+                 ) -> tuple[list[str], int, np.ndarray, np.ndarray, int]:
+    """The header, the response's column index, the complete rows split into
+    the response vector and the predictor matrix, and the number of rows
+    dropped for a missing value.
 
-    The body streams through in blocks of ``_BLOCK_LINES`` plain lines, each
-    one ``np.loadtxt`` call; any other line is read by ``csv.reader`` (which
-    may pull further lines for a quoted field) and ``float()``. So cells
-    parse exactly as ``float()`` does, and no list of cell strings is held.
-    The whole file is read before any fault is reported, in this order: a
-    row of the wrong length, the response column, a non-numeric cell. A
-    file that is not UTF-8, or that ``csv`` cannot split (a field past its
-    size limit, say), fails at once.
+    The response is resolved from the header before the body is read, so
+    each row is written straight into ``y`` and ``x`` and the matrix is held
+    once. The body streams through in blocks of ``_BLOCK_LINES`` plain
+    lines, each one ``np.loadtxt`` call; any other line is read by
+    ``csv.reader`` (which may pull further lines for a quoted field) and
+    ``float()``. So cells parse exactly as ``float()`` does, and no list of
+    cell strings is held. A leading UTF-8 byte-order mark is skipped. The
+    whole file is read before any fault is reported, in this order: a row of
+    the wrong length, the response column, a non-numeric cell. A file that
+    is not UTF-8, or that ``csv`` cannot split (a field past its size limit,
+    say), fails at once.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path} is empty")
-            body = _Body(len(header))
+            try:
+                y_idx, unknown = _response_index(header, response), None
+            except InputError as exc:
+                y_idx, unknown = None, exc
+            body = _Body(len(header), y_idx)
             plain: list[str] = []
             for line in fh:
                 if _is_plain(line):
                     plain.append(line)
                     if len(plain) == _BLOCK_LINES:
                         body.add_plain(plain)
-                        plain = []
                     continue
                 if plain:
                     body.add_plain(plain)
-                    plain = []
                 body.add_rows([next(csv.reader(itertools.chain((line,), fh)))])
             if plain:
                 body.add_plain(plain)
@@ -226,12 +256,13 @@ def _read_matrix(path: str, response: str) -> tuple[list[str], int, np.ndarray, 
             raise InputError(f"cannot read {path} as CSV: {exc}") from None
     if body.ragged is not None:
         raise InputError(body.ragged)
-    y_idx = _response_index(header, response)
+    if unknown is not None:
+        raise unknown
     if body.bad is not None:
         j, i, cell = body.bad
         raise InputError(f"column {header[j]!r} has non-numeric value {cell!r} in row {i + 2}")
-    mat = np.concatenate(body.blocks) if body.blocks else np.empty((0, len(header)))
-    return header, y_idx, mat, body.dropped
+    body.resize(body.kept)
+    return header, y_idx, body.y, body.x, body.dropped
 
 
 def cmd_screen(args) -> int:
@@ -239,15 +270,11 @@ def cmd_screen(args) -> int:
         raise InputError(f"--dn must be at least 1, got {args.dn}")
     if args.noise < 0:
         raise InputError(f"--noise must be at least 0, got {args.noise}")
-    header, y_idx, mat, dropped = _read_matrix(args.input, args.response)
+    header, y_idx, y, x, dropped = _read_matrix(args.input, args.response)
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
-    if mat.shape[0] < 2:
+    if y.shape[0] < 2:
         raise InputError("fewer than two complete rows after dropping missing values")
-
-    y = mat[:, y_idx].copy()
-    x = np.delete(mat, y_idx, axis=1)
-    del mat  # x and y are copies: the parsed matrix is not held while scoring
     names = [name for j, name in enumerate(header) if j != y_idx]
 
     added, added_names = [], []

@@ -292,9 +292,10 @@ def test_parse_missing_tokens_and_padded_numbers(tmp_path) -> None:
             ["6.5", "2", " 6 "]]
     data = tmp_path / "cells.csv"
     data.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
-    _, _, mat, dropped = fmvscreen.cli._read_matrix(str(data), "resp")
+    _, _, y, x, dropped = fmvscreen.cli._read_matrix(str(data), "resp")
     assert dropped == 4
-    assert mat.tolist() == [[3.5, -0.25, 4.0], [6.5, 2.0, 6.0]]
+    assert y.tolist() == [3.5, 6.5]
+    assert x.tolist() == [[-0.25, 4.0], [2.0, 6.0]]
 
 
 @pytest.mark.parametrize("where", ["header", "body"])
@@ -324,6 +325,23 @@ def test_screen_rejects_a_cell_past_the_csv_field_limit(tmp_path, capsys) -> Non
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and str(data) in err and "field limit" in err
+
+
+@pytest.mark.parametrize("response", ["resp", "c3"])
+def test_screen_reads_past_a_utf8_byte_order_mark(tmp_path, capsys, response) -> None:
+    # spreadsheets' "CSV UTF-8" exports start with one; it is no part of the
+    # first column's name, whether that column is the response or a predictor
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=6)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    outcomes = []
+    for path in (data, marked):
+        out = tmp_path / f"{path.stem}_ranked.csv"
+        rc = main(["screen", "--input", str(path), "--response", response, "--out", str(out)])
+        outcomes.append((rc, capsys.readouterr().err, out.read_bytes()))
+    assert outcomes[0][0] == 0
+    assert outcomes[1] == outcomes[0]
 
 
 def test_screen_missing_response_column(tmp_path, capsys) -> None:
@@ -429,12 +447,18 @@ def reference_read(path, response):
     return header, y_idx, values[keep], int(len(rows) - keep.sum())
 
 
+def reference_split(path, response):
+    """reference_read's matrix split into the response and the predictors."""
+    header, y_idx, mat, dropped = reference_read(path, response)
+    return header, y_idx, mat[:, y_idx], np.delete(mat, y_idx, axis=1), dropped
+
+
 def read_outcome(reader, path, response):
     try:
-        header, y_idx, mat, dropped = reader(str(path), response)
+        header, y_idx, y, x, dropped = reader(str(path), response)
     except InputError as exc:
         return "error", str(exc)
-    return header, y_idx, mat.shape, mat.tobytes(), dropped
+    return header, y_idx, y.shape, y.tobytes(), x.shape, x.tobytes(), dropped
 
 
 PLAIN_CELLS = ["1.5", "-2", "+3e-2", "1E5", ".5", "5.", "0", "-0.0", "0.0", "7",
@@ -446,15 +470,16 @@ BAD_CELLS = ["#", "oops", "N/A", '"1,0"', "1e", ".", "-", "e5", "1.2.3", "--1", 
 ENDINGS = ["\n", "\r\n", "\r"]
 
 
-def random_csv(rng, rows, p, faults):
+def random_csv(rng, rows, p, faults, kinds=5):
     """A CSV text of ``rows`` data rows and p columns; ``faults`` is the
-    chance of a non-plain, missing, bad, ragged or blank line."""
+    chance of a non-plain, missing, bad, ragged or blank line, the first
+    ``kinds`` of these five."""
     header = ["y"] + [f"c{j}" for j in range(1, p)]
     lines = [",".join(header)]
     for _ in range(rows):
         cells = [str(c) for c in rng.choice(PLAIN_CELLS, size=p)]
         if rng.random() < faults:
-            kind = rng.integers(5)
+            kind = rng.integers(kinds)
             pool = [OTHER_GOOD_CELLS, MISSING_CELLS, BAD_CELLS][min(kind, 2)]
             cells[rng.integers(p)] = str(rng.choice(pool))
             if kind == 3:
@@ -468,22 +493,38 @@ def random_csv(rng, rows, p, faults):
 
 
 def test_reader_matches_reference_parser(tmp_path) -> None:
-    # rows at and around the reader's block size, with faults of every kind
+    # rows at and around the reader's block size, and past several growth
+    # steps of its buffers, with faults of every kind; half the files hold
+    # only non-plain and missing cells, so long ones are read to the end
     block = fmvscreen.cli._BLOCK_LINES
     rng = np.random.default_rng(2026)
     outcomes = set()
-    for case in range(160):
-        rows = [block - 1, block, block + 1, 2 * block + 1, int(rng.integers(0, 9))][case % 5]
+    for case in range(480):
+        rows = [block - 1, block, block + 1, 2 * block + 1, 5 * block + 3,
+                int(rng.integers(0, 9))][case % 6]
         p = int(rng.integers(1, 6))
-        faults = [0.0, 0.02, 0.1, 0.5][case % 4]
+        faults = [0.0, 0.02, 0.1, 0.5][case // 6 % 4]
+        kinds = [2, 5][case // 24 % 2]
         path = tmp_path / f"case{case}.csv"
-        path.write_text(random_csv(rng, rows, p, faults), encoding="utf-8", newline="")
-        response = str(rng.choice(["y", "c1", "0", "1", "nope", "9"]))
-        want = read_outcome(reference_read, path, response)
+        path.write_text(random_csv(rng, rows, p, faults, kinds), encoding="utf-8",
+                        newline="")
+        # the response first, in the middle, last, by index, unknown, out of range
+        response = str(rng.choice(["y", f"c{p // 2}", f"c{p - 1}", str(rng.integers(p)),
+                                   "nope", str(p)]))
+        want = read_outcome(reference_split, path, response)
         assert read_outcome(fmvscreen.cli._read_matrix, path, response) == want, case
         outcomes.add(want[1].split()[0] if want[0] == "error" else "ok")
     # every fault the contract orders was met: ragged rows, the response, bad cells
     assert {"ok", "row", "response", "column"} <= outcomes
+    # long files with missing and non-plain rows, the response first, in the
+    # middle, last and by index
+    for response in ["y", "c2", "c4", "3"]:
+        path = tmp_path / f"long_{response}.csv"
+        path.write_text(random_csv(rng, 5 * block + 3, 5, 0.2, kinds=2), encoding="utf-8",
+                        newline="")
+        want = read_outcome(reference_split, path, response)
+        assert want[0] != "error" and want[2][0] > 4 * block and want[-1] > 0
+        assert read_outcome(fmvscreen.cli._read_matrix, path, response) == want, response
 
 
 @pytest.mark.parametrize("ending", ENDINGS)
@@ -491,15 +532,16 @@ def test_reader_line_endings_blank_lines_and_quotes(tmp_path, ending) -> None:
     lines = ["y,a,b", "1,2,3", "", "  ", '"4.5","5",6', '7,"8\n",9', "\t", "10,11,12"]
     path = tmp_path / "mixed.csv"
     path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
-    want = read_outcome(reference_read, path, "y")
+    want = read_outcome(reference_split, path, "y")
     assert want[0] == "error" and "row 3 has 1 cells" in want[1]
     assert read_outcome(fmvscreen.cli._read_matrix, path, "y") == want
     path.write_text(ending.join(lines[:3] + lines[4:6] + lines[7:]) + ending,
                     encoding="utf-8", newline="")
-    header, y_idx, mat, dropped = fmvscreen.cli._read_matrix(str(path), "b")
+    header, y_idx, y, x, dropped = fmvscreen.cli._read_matrix(str(path), "b")
     assert (header, y_idx, dropped) == (["y", "a", "b"], 2, 0)
-    assert mat.tolist() == [[1, 2, 3], [4.5, 5, 6], [7, 8, 9], [10, 11, 12]]
-    assert read_outcome(reference_read, path, "b") == read_outcome(
+    assert y.tolist() == [3, 6, 9, 12]
+    assert x.tolist() == [[1, 2], [4.5, 5], [7, 8], [10, 11]]
+    assert read_outcome(reference_split, path, "b") == read_outcome(
         fmvscreen.cli._read_matrix, path, "b")
 
 
@@ -522,6 +564,50 @@ def test_screen_fault_order_ragged_then_response_then_bad_cell(tmp_path, capsys)
     assert not (tmp_path / "r.csv").exists()
 
 
+def traced_peak(call):
+    """``call()``'s result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def rounded_csv(tmp_path_factory):
+    """A 200 x 3000 predictor CSV rounded to one decimal, with an NA cell in 5
+    rows, and its predictor cell count."""
+    n, p = 200, 3000
+    rng = np.random.default_rng(18)
+    cells = [list(map("{:.1f}".format, row)) for row in rng.normal(size=(n, p + 1)).tolist()]
+    for i, j in zip(rng.choice(n, size=5, replace=False), rng.integers(0, p + 1, size=5)):
+        cells[i][j] = "NA"
+    path = tmp_path_factory.mktemp("rounded") / "rounded.csv"
+    lines = [",".join(["y"] + [f"x{j}" for j in range(1, p + 1)])] + list(map(",".join, cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, n * p
+
+
+def test_reader_holds_the_matrix_once(rounded_csv) -> None:
+    # y and x with up to a quarter of rows unfilled, plus one block; parsing
+    # into blocks and joining them took 16.15
+    path, cells = rounded_csv
+    (_, _, y, x, dropped), peak = traced_peak(lambda: fmvscreen.cli._read_matrix(str(path), "y"))
+    assert (y.shape, x.shape, dropped) == ((195,), (195, 3000), 5)
+    assert peak / cells <= 11
+
+
+def test_screen_peak_is_set_by_scoring(rounded_csv, tmp_path) -> None:
+    # the read (about 10) and fmv's blocks above x (about 12) in turn; a
+    # parsed matrix split into copies of y and x took about 16.4
+    path, cells = rounded_csv
+    argv = ["screen", "--input", str(path), "--response", "y", "--threads", "1",
+            "--out", str(tmp_path / "ranked.csv")]
+    rc, peak = traced_peak(lambda: main(argv))
+    assert rc == 0
+    assert peak / cells <= 13
+
+
 def test_screen_peak_memory_per_cell(tmp_path) -> None:
     # x's 8 bytes a cell plus bounded blocks; reading the whole CSV as cell
     # strings first took over 100
@@ -535,12 +621,8 @@ def test_screen_peak_memory_per_cell(tmp_path) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
     argv = ["screen", "--input", str(data), "--response", "y", "--threads", "1",
             "--out", str(tmp_path / "ranked.csv")]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(lambda: main(argv))
+    assert rc == 0
     assert peak / (n * p) <= 40
 
 
@@ -550,9 +632,8 @@ def test_screen_report_is_byte_identical_to_per_cell_repr(tmp_path) -> None:
     ranked = tmp_path / "ranked.csv"
     assert main(["screen", "--input", str(data), "--response", "resp", "--schemes", "3,4",
                  "--dn", "6", "--out", str(ranked)]) == 0
-    _, _, mat, _ = fmvscreen.cli._read_matrix(str(data), "resp")
-    fused, per_scheme, _ = fmvscreen.fmv_scores(mat[:, 1:], mat[:, 0],
-                                                schemes=[3, 4])
+    _, _, y, x, _ = fmvscreen.cli._read_matrix(str(data), "resp")
+    fused, per_scheme, _ = fmvscreen.fmv_scores(x, y, schemes=[3, 4])
     order = np.argsort(-fused, kind="stable")[:6]
     want = ["rank,column,fused_score,mv_s3,mv_s4"] + [
         ",".join([str(r), f"c{j + 1}", repr(float(fused[j]))]
