@@ -76,12 +76,6 @@ def pearson_score(x, y) -> float:
 
 # -- Kendall tau-b ----------------------------------------------------------
 
-def _tie_pair_count(sorted_vals: np.ndarray) -> int:
-    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-    runs = np.diff(np.concatenate(([0], change + 1, [sorted_vals.size])))
-    return int((runs * (runs - 1) // 2).sum())
-
-
 def kendall_scores(x: np.ndarray, y, *, ranked: np.ndarray | None = None) -> np.ndarray:
     """|tau_b| with tie correction of y with every column; all-tied x or y scores 0.
 
@@ -118,7 +112,9 @@ def kendall_scores(x: np.ndarray, y, *, ranked: np.ndarray | None = None) -> np.
     order = np.argsort(y, kind="stable")
     ys = y[order]
     total = n * (n - 1) // 2
-    ties_y = _tie_pair_count(ys)
+    first_above = np.searchsorted(ys, ys, side="right")
+    # the rows after row i and before first_above[i] tie with row i
+    ties_y = int((first_above - np.arange(1, n + 1)).sum())
     if ties_y == total:
         return np.zeros(p)
     if ranked is None:
@@ -127,7 +123,6 @@ def kendall_scores(x: np.ndarray, y, *, ranked: np.ndarray | None = None) -> np.
     xo = ranked.T[order]  # (n, p), rows in y order
     del ranked  # a view built here is freed before the comparisons
     count = np.min_scalar_type(n)  # per-row counts stay below n
-    first_above = np.searchsorted(ys, ys, side="right")
     mask = np.empty((n, p), dtype=bool)
     hits = mask.view(np.uint8)
     greater = np.zeros(p, dtype=np.int64)
@@ -165,8 +160,8 @@ def kendall_score_bruteforce(x, y) -> float:
     concordant = int((upper & (dx * dy > 0)).sum())
     discordant = int((upper & (dx * dy < 0)).sum())
     total = n * (n - 1) // 2
-    ties_x = _tie_pair_count(np.sort(x))
-    ties_y = _tie_pair_count(np.sort(y))
+    ties_x = int((upper & (dx == 0)).sum())
+    ties_y = int((upper & (dy == 0)).sum())
     denom = math.sqrt(float(total - ties_x) * float(total - ties_y))
     if denom == 0.0:
         return 0.0

@@ -122,23 +122,19 @@ class _Body:
 
     Rows with a missing value are dropped as each block lands. ``y`` and
     ``x`` grow in place by a quarter when full, so the matrix is held once,
-    plus one block and the unfilled rows. Faults are only recorded while
-    reading, so the one reported is the same whatever order the rows arrive
-    in: the first row of the wrong length, else the first bad cell in
-    column-major order. Once a fault is known, or when the response is
-    unknown (``y_idx`` None), no more values are kept.
+    plus one block and the unfilled rows. The first row of the wrong length
+    or with a non-numeric cell raises at once, naming its leftmost bad cell.
     """
 
-    def __init__(self, p: int, y_idx: int | None):
-        self.p = p
+    def __init__(self, header: list[str], y_idx: int):
+        self.header = header
+        self.p = len(header)
         self.y_idx = y_idx
         self.rows = 0  # nonempty rows read so far
         self.kept = 0  # rows written to y and x
         self.dropped = 0
         self.y = np.empty(0)
-        self.x = np.empty((0, max(p - 1, 0)))  # a header with no cells has no response
-        self.ragged: str | None = None  # message for the first row of the wrong length
-        self.bad: tuple[int, int, str] | None = None  # (column, row, cell)
+        self.x = np.empty((0, self.p - 1))
 
     def add_plain(self, lines: list[str]) -> None:
         """Plain lines (``_is_plain``) in one ``np.loadtxt`` call; a block it
@@ -164,20 +160,16 @@ class _Body:
             return
         block = np.empty((len(rows), self.p))
         for k, row in enumerate(rows):
-            i = self.rows
-            self.rows += 1
+            self.rows += 1  # the header is row 1
             if len(row) != self.p:
-                if self.ragged is None:
-                    self.ragged = f"row {i + 2} has {len(row)} cells, header has {self.p}"
-                continue
+                raise InputError(f"row {self.rows + 1} has {len(row)} cells, header has {self.p}")
             bad = _parse_row(row, block[k])
-            if bad is not None and (self.bad is None or bad[0] < self.bad[0]):
-                self.bad = (bad[0], i, bad[1])
+            if bad is not None:
+                raise InputError(f"column {self.header[bad[0]]!r} has non-numeric value "
+                                 f"{bad[1]!r} in row {self.rows + 1}")
         self._keep(block)
 
     def _keep(self, block: np.ndarray) -> None:
-        if self.y_idx is None or self.ragged is not None or self.bad is not None:
-            return
         keep = ~np.isnan(block).any(axis=1)
         if not keep.all():
             block = block[keep]
@@ -192,9 +184,12 @@ class _Body:
         self.kept = end
 
     def resize(self, rows: int) -> None:
-        # in place; numpy's refcheck raises rather than leave a view dangling
-        self.y.resize(rows)
-        self.x.resize((rows, self.x.shape[1]))
+        # in place, without numpy's refcheck: a profiler or tracer holds one
+        # more reference during the call, and the check would refuse. No view
+        # of y or x outlives a statement of ``_keep``, and the arrays leave
+        # ``_Body`` only after the final trim, so nothing can dangle.
+        self.y.resize(rows, refcheck=False)
+        self.x.resize((rows, self.x.shape[1]), refcheck=False)
 
 
 def _response_index(header: list[str], response: str) -> int:
@@ -222,21 +217,17 @@ def _read_matrix(path: str, response: str
     ``csv.reader`` (which may pull further lines for a quoted field) and
     ``float()``. So cells parse exactly as ``float()`` does, and no list of
     cell strings is held. A leading UTF-8 byte-order mark is skipped. The
-    whole file is read before any fault is reported, in this order: a row of
-    the wrong length, the response column, a non-numeric cell. A file that
-    is not UTF-8, or that ``csv`` cannot split (a field past its size limit,
-    say), fails at once.
+    first fault in reading order is raised at once: an unknown response,
+    then, row by row, a row of the wrong length or its leftmost non-numeric
+    cell. A file that is not UTF-8, or that ``csv`` cannot split (a field
+    past its size limit, say), fails where the read meets it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path} is empty")
-            try:
-                y_idx, unknown = _response_index(header, response), None
-            except InputError as exc:
-                y_idx, unknown = None, exc
-            body = _Body(len(header), y_idx)
+            body = _Body(header, _response_index(header, response))
             plain: list[str] = []
             for line in fh:
                 if _is_plain(line):
@@ -254,15 +245,8 @@ def _read_matrix(path: str, response: str
             raise InputError(f"{path} is not UTF-8 text") from None
         except csv.Error as exc:
             raise InputError(f"cannot read {path} as CSV: {exc}") from None
-    if body.ragged is not None:
-        raise InputError(body.ragged)
-    if unknown is not None:
-        raise unknown
-    if body.bad is not None:
-        j, i, cell = body.bad
-        raise InputError(f"column {header[j]!r} has non-numeric value {cell!r} in row {i + 2}")
     body.resize(body.kept)
-    return header, y_idx, body.y, body.x, body.dropped
+    return header, body.y_idx, body.y, body.x, body.dropped
 
 
 def cmd_screen(args) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cProfile
 import csv
 import os
 import subprocess
@@ -271,15 +272,20 @@ def test_screen_names_non_numeric_column(tmp_path, capsys) -> None:
     assert "'a'" in capsys.readouterr().err
 
 
-def test_screen_names_first_bad_cell_in_column_order(tmp_path, capsys) -> None:
-    # bad cells in column b (row 2) and column a (row 4): the column comes first
+def test_screen_names_the_first_bad_cell_in_reading_order(tmp_path, capsys) -> None:
+    # bad cells in column b (row 2) and column a (row 4): the earlier row comes
+    # first, and within a row the leftmost cell
     data = tmp_path / "bad.csv"
     data.write_text("resp,a,b\n1.0,1.5,oops\n2.0,2.5,3.0\n3.0, bad ,4.0\n")
     rc = main(["screen", "--input", str(data), "--response", "resp",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "error: column 'a' has non-numeric value 'bad' in row 4\n")
+        "error: column 'b' has non-numeric value 'oops' in row 2\n")
+    data.write_text("resp,a,b\n1.0,x,oops\n")
+    assert main(["screen", "--input", str(data), "--response", "resp",
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == "error: column 'a' has non-numeric value 'x' in row 2\n"
 
 
 def test_parse_missing_tokens_and_padded_numbers(tmp_path) -> None:
@@ -314,6 +320,19 @@ def test_screen_rejects_a_file_that_is_not_utf8(tmp_path, capsys, where) -> None
     assert rc == 2
     assert err == f"error: {data} is not UTF-8 text\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_screen_reports_a_bad_cell_before_a_later_undecodable_byte(tmp_path, capsys) -> None:
+    # the read stops at the bad cell in row 2 and never decodes the byte that
+    # sits far past the header's read-ahead chunk
+    data = tmp_path / "mixed.csv"
+    rows = [b"1.0,2.0,3.0\n"] * 20000
+    data.write_bytes(b"resp,a,b\n1.0,oops,2.0\n" + b"".join(rows) + b"2.0,caf\xe9,1.0\n")
+    rc = main(["screen", "--input", str(data), "--response", "resp",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: column 'a' has non-numeric value 'oops' in row 2\n")
 
 
 def test_screen_rejects_a_cell_past_the_csv_field_limit(tmp_path, capsys) -> None:
@@ -412,16 +431,13 @@ def test_bench_cli_warns_on_degenerate_replications(tmp_path, capsys, monkeypatc
 def reference_read(path, response):
     """screen's parse contract, evaluated the slow way: the whole file through
     csv.reader, then every cell through strip, the missing tokens and float().
-    Faults in order: a row of the wrong length, the response column, the
-    first non-numeric cell in column-major order."""
+    Faults in reading order: the response column, then row by row a wrong
+    length or the row's leftmost non-numeric cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         records = list(csv.reader(fh))
     if not records:
         raise InputError(f"{path} is empty")
     header, rows = records[0], [row for row in records[1:] if row]
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise InputError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
     if response in header:
         y_idx = header.index(response)
     else:
@@ -432,9 +448,11 @@ def reference_read(path, response):
         if not 0 <= y_idx < len(header):
             raise InputError(f"response index {y_idx} out of range for {len(header)} columns")
     values = np.empty((len(rows), len(header)))
-    for j in range(len(header)):
-        for i, row in enumerate(rows):
-            cell = row[j].strip()
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise InputError(f"row {i + 2} has {len(row)} cells, header has {len(header)}")
+        for j, cell in enumerate(row):
+            cell = cell.strip()
             if cell.lower() in {"", "na", "nan", "null", "none"}:
                 values[i, j] = np.nan
                 continue
@@ -514,7 +532,7 @@ def test_reader_matches_reference_parser(tmp_path) -> None:
         want = read_outcome(reference_split, path, response)
         assert read_outcome(fmvscreen.cli._read_matrix, path, response) == want, case
         outcomes.add(want[1].split()[0] if want[0] == "error" else "ok")
-    # every fault the contract orders was met: ragged rows, the response, bad cells
+    # every kind of fault was met: ragged rows, the response, bad cells
     assert {"ok", "row", "response", "column"} <= outcomes
     # long files with missing and non-plain rows, the response first, in the
     # middle, last and by index
@@ -545,7 +563,8 @@ def test_reader_line_endings_blank_lines_and_quotes(tmp_path, ending) -> None:
         fmvscreen.cli._read_matrix, path, "b")
 
 
-def test_screen_fault_order_ragged_then_response_then_bad_cell(tmp_path, capsys) -> None:
+def test_screen_fault_order_follows_the_read(tmp_path, capsys) -> None:
+    # the response is resolved from the header, then rows fail in file order
     rows = [f"{i}.5,{i}.25,{i}" for i in range(70)]
     rows[3] = "3.5,oops,3"
     data = tmp_path / "bad.csv"
@@ -557,11 +576,43 @@ def test_screen_fault_order_ragged_then_response_then_bad_cell(tmp_path, capsys)
         assert rc == 2
         return capsys.readouterr().err
 
-    assert err("resp", rows) == "error: column 'a' has non-numeric value 'oops' in row 5\n"
-    assert err("nope", rows) == "error: response column 'nope' not found\n"
+    bad_cell = "error: column 'a' has non-numeric value 'oops' in row 5\n"
+    unknown = "error: response column 'nope' not found\n"
+    assert err("resp", rows) == bad_cell
+    assert err("nope", rows) == unknown
     ragged = rows[:66] + ["1,2,3,4"] + rows[66:]  # after the bad cell, in a later block
-    assert err("nope", ragged) == "error: row 68 has 4 cells, header has 3\n"
+    assert err("resp", ragged) == bad_cell
+    assert err("nope", ragged) == unknown
+    ragged = rows[:1] + ["1,2"] + rows[1:]  # before the bad cell, in the same block
+    assert err("resp", ragged) == "error: row 3 has 2 cells, header has 3\n"
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("hook", ["cprofile", "setprofile", "settrace"])
+def test_screen_runs_under_a_profiler_or_tracer(tmp_path, hook) -> None:
+    # a profile or trace hook holds one more reference during each call,
+    # and numpy's resize refcheck would refuse to grow the reader's buffers
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=150, p=6)
+    plain, hooked = tmp_path / "plain.csv", tmp_path / "hooked.csv"
+    argv = ["screen", "--input", str(data), "--response", "resp", "--out"]
+    assert main(argv + [str(plain)]) == 0
+    saved = sys.getprofile(), sys.gettrace()
+    profiler = cProfile.Profile()
+    if hook == "cprofile":
+        profiler.enable()
+    elif hook == "setprofile":
+        sys.setprofile(lambda frame, event, arg: None)
+    else:
+        sys.settrace(lambda frame, event, arg: None)
+    try:
+        rc = main(argv + [str(hooked)])
+    finally:
+        profiler.disable()
+        sys.setprofile(saved[0])
+        sys.settrace(saved[1])
+    assert rc == 0
+    assert hooked.read_bytes() == plain.read_bytes()
 
 
 def traced_peak(call):
