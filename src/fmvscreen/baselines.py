@@ -38,8 +38,8 @@ def pearson_scores(x: np.ndarray, y) -> np.ndarray:
     its own n values, so its score depends only on that column, y and n:
     never on the block width, p or BLAS threading. A column scores exactly 0
     when every entry equals its first (-0.0 equals 0.0), whatever its float
-    mean. Memory above x: two block arrays, 16 bytes a block cell (4 MiB at
-    ``mv._BLOCK_CELLS`` = 2**17), at any p.
+    mean. Memory above x: two block arrays, 16 bytes a block cell (2 MiB at
+    ``mv._BLOCK_CELLS`` = 2**16), at any p.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -175,8 +175,9 @@ def kendall_score_bruteforce(x, y) -> float:
 # gaps 1/lcm apart stay further apart than float rounding can close, up to
 # 3 * 2**-54 on each
 _EXACT_LCM = 1 << 50
-# fks's block budget in bytes per ``_BLOCK_CELLS`` cell: its lane loop pays a
-# Python step per row per block, so it keeps wider blocks than the kernel
+# fks's block budget in bytes per ``_BLOCK_CELLS`` cell, 3 MiB a block: its
+# count scan (``_running_counts``) pays about 2 sqrt(n) Python steps per
+# scheme per block, so it keeps wider blocks than the kernel
 _FKS_BUDGET_BYTES = 48
 
 
@@ -190,9 +191,10 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     radix argsort of the ranks, one gather of each packed slice code
     (``_packed_codes``) through it and the tie runs of ``mv.tie_starts``,
     shared by all schemes, and per scheme O(p * n * s_eff) small-integer
-    adds and maxima in exact integers (``_widest_ecdf_gap``). Memory: the
-    columns go through blocks of at most ``_FKS_BUDGET_BYTES`` *
-    ``mv._BLOCK_CELLS`` bytes. A block cell holds, at its fullest, either
+    adds and maxima in exact integers (``_widest_ecdf_gap``), the counts
+    summed in about 2 sqrt(n) numpy calls a block. Memory: the columns go
+    through blocks of at most ``_FKS_BUDGET_BYTES`` * ``mv._BLOCK_CELLS``
+    bytes (3 MiB). A block cell holds, at its fullest, either
     its 8-byte sort order and its codes gathered and transposed, or the
     codes and, for the scheme that needs most, s_eff count-bytes (two per
     lane past 255 entries a slice), its labels and four temporaries of
@@ -295,7 +297,8 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
     distinct slice sizes reaches, the counts are divided by their sizes in
     float64 and every position's float gap is taken, as the definition does.
 
-    Cost: O(n * p * s_eff) small-integer operations, and two divisions per
+    Cost: O(n * p * s_eff) small-integer operations, the running counts in
+    about 2 sqrt(n) numpy calls (``_running_counts``), and two divisions per
     position at a column's widest exact gap. Memory per block cell: s_eff
     count lanes with the labels in the code's dtype, then three temporaries
     of ``_gap_type``, and four with a byte of mask once the lanes are freed.
@@ -312,12 +315,7 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
     np.equal(gs[:, None, :], slices[:, None],
              out=counts.view(bool) if counts.itemsize == 1 else counts)
     del gs
-    # the row views are made once: indexing counts[t] in the loop costs more
-    # than the adds at these widths
-    positions = list(counts)
-    for before, here in zip(positions, positions[1:]):
-        np.add(before, here, out=here)
-    del positions
+    _running_counts(counts)
 
     lcm = _size_lcm(labels)
     value = _gap_type(labels)
@@ -351,6 +349,28 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
     out = np.zeros(p)
     np.maximum.at(out, column, f)
     return out
+
+
+def _running_counts(counts: np.ndarray) -> None:
+    """``counts`` summed along its first axis in place, as ``np.cumsum(axis=0)``
+    in its own dtype, in about 2 sqrt(n) adds of whole rows. With q = isqrt(n)
+    and m = n // q, the first m q rows are m chunks of q rows: the q - 1 adds
+    within a chunk run over every chunk at once, each chunk's last row is then
+    added into the next chunk, and the fewer than q rows left run one by one.
+    Every partial sum counts one slice's entries among some positions, so no
+    add can overflow a dtype that holds the slice sizes, and the integer sums
+    are the same whatever their order.
+    """
+    n = counts.shape[0]
+    q = math.isqrt(n)
+    m = n // q
+    chunks = counts[:m * q].reshape(m, q, *counts.shape[1:])
+    for t in range(1, q):
+        np.add(chunks[:, t - 1], chunks[:, t], out=chunks[:, t])
+    for c in range(1, m):
+        np.add(chunks[c - 1, -1], chunks[c], out=chunks[c])
+    for t in range(m * q, n):
+        np.add(counts[t - 1], counts[t], out=counts[t])
 
 
 def fks_score(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> float:

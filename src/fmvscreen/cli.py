@@ -7,6 +7,7 @@ import argparse
 import csv
 import itertools
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +281,13 @@ def cmd_screen(args) -> int:
         x = np.column_stack([x, *added])
         names += added_names
 
-    schemes = _resolve_schemes(_parse_schemes(args.schemes), args.kind, x.shape[0])
+    # the small-sample fallback reaches the user as a warning line, without
+    # the library's source path and line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        schemes = _resolve_schemes(_parse_schemes(args.schemes), args.kind, x.shape[0])
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     dataset = Dataset(y=y, x=x, kind=args.kind, names=tuple(names))
     fused, per_scheme, degenerate = fmv_scores(dataset.x, dataset.y, dataset.kind, schemes,
                                                threads=args.threads)

@@ -21,22 +21,24 @@ Two baselines read the same view. fks argsorts the ranks once per column
 block (a radix sort of small unsigned ints) and gathers every scheme's
 slice labels through that order once, packed into per-row codes of at most
 64 bits. It then drops the order and, per scheme, accumulates every slice's
-cumulative counts at once, S count-bytes per cell (S = s_eff, one byte per
-lane while slices hold at most 255 entries), and finds each column's
-widest ECDF gap in exact integers, with floats only at that gap, so
-O(p * n * sum s_eff) small-integer operations. rcs (Kendall) compares
-the ranks themselves, and counts the pairs tied in x from their sums.
+cumulative counts at once in about 2 sqrt(n) adds of whole rows, S
+count-bytes per cell (S = s_eff, one byte per lane while slices hold at
+most 255 entries), and finds each column's widest ECDF gap in exact
+integers, with floats only at that gap, so O(p * n * sum s_eff)
+small-integer operations. rcs (Kendall) compares the ranks themselves,
+and counts the pairs tied in x from their sums.
 ``tie_starts`` picks out the tied columns and their sorted ranks for the
 readers that need tie runs. A caller that scores one matrix several ways
 builds the view once and passes it as ``ranked=``; the column sort is then
 paid once.
 
-``_BLOCK_CELLS`` is the one cell budget. ``ranked_columns`` builds the view
-over column blocks of at most that many cells, ``screening.fmv_scores``
-scores the kernel and sis (``baselines.pearson_scores``) centres its
-columns over the same width, and fks sizes its blocks from it in bytes,
-``baselines._FKS_BUDGET_BYTES`` per budget cell, so no temporary grows
-with p. ``_column_blocks`` is the one helper for every column-block loop,
+``_BLOCK_CELLS`` is the one cell budget, sized so that a view-build block's
+float copy and sort order take half of a 2 MiB per-core L2 cache.
+``ranked_columns`` builds the view over column blocks of at most that many
+cells, ``screening.fmv_scores`` scores the kernel and sis
+(``baselines.pearson_scores``) centres its columns over the same width,
+and fks sizes its blocks from it in bytes, ``baselines._FKS_BUDGET_BYTES``
+per budget cell, so no temporary grows with p. ``_column_blocks`` is the one helper for every column-block loop,
 and a block's view is the rows ``ranked[lo:hi]``.
 """
 
@@ -61,9 +63,10 @@ __all__ = [
 # of a byte budget sized from it, so their temporaries stay within a fixed
 # budget at any p (the kernel holds up to about 18 bytes a block cell when
 # the block sorts its own columns, 13 with a view passed in; the view build
-# 18 to 19). At 2**17 a block is a fifth of a 200 x 3000 matrix and a
-# quarter of a 400 x 1000 one
-_BLOCK_CELLS = 1 << 17
+# 18 to 19). At 2**16 the view build's float copy and int64 order take 1 MiB
+# a block, half a 2 MiB per-core L2 cache, and a block is a tenth of a
+# 200 x 3000 matrix and a seventh of a 400 x 1000 one
+_BLOCK_CELLS = 1 << 16
 
 
 def _check_labels(n: int, labels: SliceLabels) -> None:

@@ -225,6 +225,10 @@ def _resolve_threads(threads: int) -> int:
     if threads == 0:
         import os
 
+        # the CPUs this process may run on, which taskset or a cgroup can
+        # narrow below the machine's count
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return threads
 

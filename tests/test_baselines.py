@@ -26,7 +26,12 @@ from fmvscreen import (
 )
 import fmvscreen.baselines
 import fmvscreen.mv
-from fmvscreen.baselines import _gap_type, _packed_codes, kendall_score_bruteforce
+from fmvscreen.baselines import (
+    _gap_type,
+    _packed_codes,
+    _running_counts,
+    kendall_score_bruteforce,
+)
 from fmvscreen.mv import ranked_columns
 from fmvscreen.screening import labels_for_schemes
 
@@ -390,6 +395,22 @@ def test_fks_count_memory_stays_within_budget(monkeypatch) -> None:
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("s_eff", [2, 5])
+def test_running_counts_equal_cumsum(dtype, s_eff) -> None:
+    # n = 1..70 takes in n < 4 (chunks of one row), perfect squares (no rows
+    # left over) and primes; each slice indicator is scaled so that a full
+    # column's count nears the dtype's top, where a wrap would show
+    rng = np.random.default_rng(53)
+    for n in range(1, 71):
+        g = rng.integers(0, s_eff, size=(n, 9))
+        step = np.iinfo(dtype).max // n
+        counts = ((g[:, None, :] == np.arange(s_eff)[:, None]) * step).astype(dtype)
+        want = np.cumsum(counts, axis=0, dtype=dtype)
+        _running_counts(counts)
+        assert counts.dtype == dtype and counts.tobytes() == want.tobytes(), n
+
+
 def test_fks_takes_the_widest_float_among_equal_exact_gaps() -> None:
     # two slices of 3: the exact gap 1/3 is reached at sorted positions 0, 2
     # and 4, where the floats read fl(1/3) - 0, fl(2/3) - fl(1/3) and
@@ -426,10 +447,10 @@ def test_fks_past_the_exact_lcm_matches_the_oracle() -> None:
 
 def test_view_and_fks_memory_stays_flat_in_p() -> None:
     # at 200 x 20000 the view build goes through column blocks of about
-    # 2**17 cells and fks through blocks of its byte budget, so their peaks
+    # 2**16 cells and fks through blocks of its byte budget, so their peaks
     # above the 8 B/cell input stay near the 1 B/cell of the ranks;
     # whole-matrix temporaries would take 17-19 B/cell (tracemalloc,
-    # numpy 2.4: 1.6, 2.3 and 1.3 B/cell)
+    # numpy 2.4: 1.3, 1.7 and 0.7 B/cell)
     rng = np.random.default_rng(48)
     n, p = 200, 20000
     x = rng.normal(size=(n, p))
@@ -454,10 +475,10 @@ def test_view_and_fks_memory_stays_flat_in_p() -> None:
 
 
 def test_sis_memory_stays_flat_in_p() -> None:
-    # at 200 x 20000 sis goes through column blocks of about 2**17 cells, so
-    # its peak above the 8 B/cell input is two block arrays, about 1 B/cell;
-    # a centred copy and its square would take 16 B/cell (tracemalloc,
-    # numpy 2.4: 1.0 B/cell)
+    # at 200 x 20000 sis goes through column blocks of about 2**16 cells, so
+    # its peak above the 8 B/cell input is two block arrays, about 0.3
+    # B/cell; a centred copy and its square would take 16 B/cell
+    # (tracemalloc, numpy 2.4: 0.3 B/cell)
     rng = np.random.default_rng(49)
     n, p = 200, 20000
     x = rng.normal(size=(n, p))
@@ -474,10 +495,10 @@ def test_sis_memory_stays_flat_in_p() -> None:
 
 def test_view_and_fks_memory_at_design_7_shape() -> None:
     # 400 x 1000 with the default schemes 3-8: the view build's blocks are
-    # a quarter of the matrix, and fks's block cells hold a two-byte packed
-    # code through the scheme loop (tracemalloc, numpy 2.4: 6.8 and 7.6
-    # B/cell above x); blocks of half the matrix, or fks's 8-byte sort order
-    # held through the scheme loop, would take 11.3 and 10.6
+    # a seventh of the matrix, and fks's 3 MiB block cells hold a two-byte
+    # packed code through the scheme loop (tracemalloc, numpy 2.4: 4.9 and
+    # 5.2 B/cell above x); blocks of a quarter of the matrix and fks's 6 MiB
+    # blocks took 6.85 and 7.65
     rng = np.random.default_rng(51)
     n, p = 400, 1000
     x = rng.normal(size=(n, p))
@@ -494,8 +515,8 @@ def test_view_and_fks_memory_at_design_7_shape() -> None:
     ranked, view_peak = peak_per_cell(lambda: ranked_columns(x))
     scores, fks_peak = peak_per_cell(lambda: fks_scores(x, y, ranked=ranked))
     assert scores.tobytes() == fks_scores(x, y).tobytes()
-    assert view_peak < 8.0
-    assert fks_peak < 8.5
+    assert view_peak < 5.6
+    assert fks_peak < 6.0
 
 
 def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,25 @@ def test_ranked_view_built_once_per_replication(monkeypatch) -> None:
         calls.clear()
         run_replications(small_spec(), screeners, reps=3, base_seed=2)
         assert calls == [(builder, (60, 50))] * 3, screeners
+
+
+@pytest.mark.parametrize("case, screeners, bound", [("7", ["fmv", "sis", "fks"], 16.0),
+                                                     ("2b", ["sis", "rcs"], 11.8)])
+def test_replication_peak_per_cell(case, screeners, bound) -> None:
+    # one replication's traced peak over its design's cells, input included:
+    # design 7's is x, the shared two-byte view and fks's 3 MiB blocks, 2b's
+    # x and rcs's own view build (tracemalloc, numpy 2.4: 15.2 and 11.0
+    # B/cell); with 2**17-cell blocks and fks's 6 MiB they took 17.7 and 12.7
+    spec = ExperimentSpec(case)
+    np.random.default_rng(0)  # numpy imports its random module on first use
+    tracemalloc.start()
+    try:
+        summaries = run_replications(spec, screeners, reps=1, base_seed=3)
+        peak = tracemalloc.get_traced_memory()[1] / (spec.n * spec.p)
+    finally:
+        tracemalloc.stop()
+    assert not any(s.degenerate_reps for s in summaries)
+    assert peak < bound
 
 
 def test_scorer_bug_propagates(monkeypatch) -> None:

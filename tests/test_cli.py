@@ -202,7 +202,7 @@ def test_screen_rejects_a_repeated_slice_count(tmp_path, capsys) -> None:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_screen_categorical_below_27_rows_warns_about_no_scheme(tmp_path) -> None:
+def test_screen_categorical_below_27_rows_warns_about_no_scheme(tmp_path, capsys) -> None:
     data = tmp_path / "small.csv"
     rows = ["resp,a,b"] + [f"{i % 3}.0,{i}.5,{(i * 7) % 5}.25" for i in range(20)]
     data.write_text("\n".join(rows) + "\n")
@@ -210,6 +210,28 @@ def test_screen_categorical_below_27_rows_warns_about_no_scheme(tmp_path) -> Non
     assert main(["screen", "--input", str(data), "--response", "resp",
                  "--kind", "categorical", "--out", str(ranked)]) == 0
     assert ranked.read_text().split("\n")[0] == "rank,column,fused_score,mv_labels"
+    assert capsys.readouterr().err == ""
+
+
+def test_screen_prints_the_small_sample_fallback_as_one_warning_line(tmp_path, capsys) -> None:
+    # the library's RuntimeWarning would print its source path and line; the
+    # report is the one of the single 3-slice scheme the fallback takes
+    data = tmp_path / "small.csv"
+    write_toy_csv(data, n=20, p=6)
+    reports = []
+    for extra in ([], ["--schemes", "3"]):
+        ranked = tmp_path / f"ranked{len(extra)}.csv"
+        assert main(["screen", "--input", str(data), "--response", "resp",
+                     "--out", str(ranked), *extra]) == 0
+        reports.append(ranked.read_bytes())
+        err = capsys.readouterr().err
+        if not extra:
+            assert err == ("warning: sample size 20 is below 27; "
+                           "falling back to a single 3-slice scheme\n")
+    assert err == ""
+    assert reports[0] == reports[1]
+    with pytest.warns(RuntimeWarning, match="below 27"):
+        fmvscreen.cli._resolve_schemes(None, "continuous", 20)
 
 
 def test_screen_dn_larger_than_p_ranks_all(tmp_path) -> None:

@@ -287,3 +287,15 @@ def test_import_leaves_the_thread_pool_unloaded() -> None:
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "False"
+
+
+def test_auto_threads_follow_the_affinity_mask(monkeypatch) -> None:
+    # taskset or a cgroup can pin the process to fewer CPUs than the host has
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fmvscreen.screening._resolve_threads(0) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert fmvscreen.screening._resolve_threads(0) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert fmvscreen.screening._resolve_threads(0) == 1
+    assert fmvscreen.screening._resolve_threads(3) == 3
