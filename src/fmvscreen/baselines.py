@@ -205,8 +205,7 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     y = check_response(y, n)
     check_ranked(ranked, x)
     schemes = _resolve_schemes(schemes, kind, n)
-    live = [lab for lab in labels_for_schemes(y, kind, schemes)
-            if lab is not None and lab.s_eff > 1]
+    live = [lab for lab in labels_for_schemes(y, kind, schemes) if lab is not None]
     out = np.zeros(p)
     if not live:
         return out

@@ -2,8 +2,9 @@
 
 One replication draws an instance, scores it with every requested screener,
 and records each screener's minimum model size: the smallest ranking prefix
-containing the whole active set. Replications use independently derived
-seeds, so any execution order (or thread count) produces the same report.
+containing the whole active set, with every score tied to an active one
+ranked ahead of it. Replications use independently derived seeds, so any
+execution order (or thread count) produces the same report.
 A replication is flagged as degenerate for a screener when the screener
 rejects the instance (``InputError`` or ``DegenerateSlicesError``) or
 returns all-zero scores, which rank nothing. It keeps its MMS in
@@ -22,7 +23,7 @@ import numpy as np
 from .baselines import fks_scores, kendall_scores, pearson_scores
 from .errors import DegenerateSlicesError, InputError
 from .mv import ranked_columns
-from .screening import _resolve_threads, _thread_map, fmv_scores, rank_descending
+from .screening import _resolve_threads, _thread_map, fmv_scores
 from .simulate import (
     ExperimentSpec,
     active_set,
@@ -82,17 +83,18 @@ class MmsSummary:
 
 
 def mms(scores, active) -> int:
-    """Worst descending-order rank among the active columns (1-based)."""
+    """The minimum model size of a ranking: the count of scores not below
+    the lowest active score (``active`` holds 1-based column indices). A tie
+    counts against the screener, since no order within it is better founded
+    than another, so an all-zero score vector reads p."""
     scores = np.asarray(scores, dtype=np.float64)
     active = sorted(set(int(a) for a in active))
     if not active:
         raise InputError("active set must be nonempty")
     if active[0] < 1 or active[-1] > scores.size:
         raise InputError(f"active indices out of range 1..{scores.size}")
-    order = rank_descending(scores)
-    ranks = np.empty(scores.size, dtype=np.int64)
-    ranks[order] = np.arange(1, scores.size + 1)
-    return int(max(ranks[a - 1] for a in active))
+    lowest = scores[np.array(active) - 1].min()
+    return scores.size - int(np.count_nonzero(scores < lowest))
 
 
 # each scorer takes the dataset, the slice counts and the ranked view of x

@@ -123,8 +123,9 @@ class _Body:
 
     Rows with a missing value are dropped as each block lands. ``y`` and
     ``x`` grow in place by a quarter when full, so the matrix is held once,
-    plus one block and the unfilled rows. The first row of the wrong length
-    or with a non-numeric cell raises at once, naming its leftmost bad cell.
+    plus one block and the unfilled rows. The first fault in reading order
+    raises: a row of the wrong length, or a row's leftmost non-numeric or
+    infinite cell (a parsed ``inf`` or ``1e999``).
     """
 
     def __init__(self, header: list[str], y_idx: int):
@@ -155,24 +156,40 @@ class _Body:
             self._keep(block)
 
     def add_rows(self, rows) -> None:
-        """csv.reader rows; empty ones (blank lines) are skipped uncounted."""
+        """csv.reader rows; empty ones (blank lines) are skipped uncounted.
+        An infinite cell read before a row's fault raises first."""
         rows = [row for row in rows if row]
         if not rows:
             return
-        block = np.empty((len(rows), self.p))
+        # zeros: the cells after a row's bad cell stay finite
+        block = np.zeros((len(rows), self.p))
         for k, row in enumerate(rows):
-            self.rows += 1  # the header is row 1
             if len(row) != self.p:
-                raise InputError(f"row {self.rows + 1} has {len(row)} cells, header has {self.p}")
+                self._raise_infinite(block[:k])
+                raise InputError(f"row {self.rows + 2} has {len(row)} cells, header has {self.p}")
+            self.rows += 1  # the header is row 1
             bad = _parse_row(row, block[k])
             if bad is not None:
+                self._raise_infinite(block[:k + 1])
                 raise InputError(f"column {self.header[bad[0]]!r} has non-numeric value "
                                  f"{bad[1]!r} in row {self.rows + 1}")
         self._keep(block)
 
+    def _raise_infinite(self, block: np.ndarray) -> None:
+        """Raises on the block's first infinite cell in reading order, naming
+        its column and row; the block's rows are the last ones counted."""
+        cells = np.argwhere(np.isinf(block))
+        if cells.size:
+            i, j = cells[0].tolist()
+            raise InputError(f"column {self.header[j]!r} has non-finite value "
+                             f"{float(block[i, j])!r} in row {self.rows - len(block) + i + 2}")
+
     def _keep(self, block: np.ndarray) -> None:
-        keep = ~np.isnan(block).any(axis=1)
+        # one pass finds both a missing value (NaN), whose row is dropped,
+        # and an infinite cell, which is a fault
+        keep = np.isfinite(block).all(axis=1)
         if not keep.all():
+            self._raise_infinite(block)
             block = block[keep]
         self.dropped += keep.shape[0] - block.shape[0]
         start, end = self.kept, self.kept + block.shape[0]
@@ -191,6 +208,16 @@ class _Body:
         # ``_Body`` only after the final trim, so nothing can dangle.
         self.y.resize(rows, refcheck=False)
         self.x.resize((rows, self.x.shape[1]), refcheck=False)
+
+
+def _check_header(header: list[str]) -> None:
+    """Rejects a header that repeats a name, since report rows are keyed by
+    name. Its set of names is freed on return, before the body is read."""
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise InputError(f"header repeats column name {name!r}")
+        seen.add(name)
 
 
 def _response_index(header: list[str], response: str) -> int:
@@ -218,8 +245,9 @@ def _read_matrix(path: str, response: str
     ``csv.reader`` (which may pull further lines for a quoted field) and
     ``float()``. So cells parse exactly as ``float()`` does, and no list of
     cell strings is held. A leading UTF-8 byte-order mark is skipped. The
-    first fault in reading order is raised at once: an unknown response,
-    then, row by row, a row of the wrong length or its leftmost non-numeric
+    first fault in reading order is raised at once: a header that repeats a
+    name (report rows are keyed by name), an unknown response, then, row by
+    row, a row of the wrong length or its leftmost non-numeric or infinite
     cell. A file that is not UTF-8, or that ``csv`` cannot split (a field
     past its size limit, say), fails where the read meets it.
     """
@@ -228,6 +256,7 @@ def _read_matrix(path: str, response: str
             header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path} is empty")
+            _check_header(header)
             body = _Body(header, _response_index(header, response))
             plain: list[str] = []
             for line in fh:
@@ -272,8 +301,13 @@ def cmd_screen(args) -> int:
             raise InputError(f"interaction columns not found: {', '.join(missing)}")
         pos = sorted({names.index(s) for s in subset})  # each named column once
         for a, b in itertools.combinations(pos, 2):
-            added.append(x[:, a] * x[:, b])
+            with np.errstate(over="ignore"):  # an overflow is named below
+                product = x[:, a] * x[:, b]
             added_names.append(f"{names[a]}*{names[b]}")
+            if not np.isfinite(product).all():
+                raise InputError(f"interaction column {added_names[-1]!r} overflows "
+                                 "the float range")
+            added.append(product)
     if args.noise:
         added.append(_standard_cauchy(derived_rng(args.seed, 0), (x.shape[0], args.noise)))
         added_names += [f"noise{i}" for i in range(1, args.noise + 1)]
@@ -288,7 +322,7 @@ def cmd_screen(args) -> int:
         schemes = _resolve_schemes(_parse_schemes(args.schemes), args.kind, x.shape[0])
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    dataset = Dataset(y=y, x=x, kind=args.kind, names=tuple(names))
+    dataset = Dataset(y=y, x=x, kind=args.kind)
     fused, per_scheme, degenerate = fmv_scores(dataset.x, dataset.y, dataset.kind, schemes,
                                                threads=args.threads)
     if degenerate:

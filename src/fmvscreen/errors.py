@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InputError", "DegenerateSlicesError"]
+
 
 class InputError(ValueError):
     """Raised when an input violates a precondition (shape, finiteness, range)."""

@@ -50,12 +50,7 @@ from .checks import check_matrix, check_vector
 from .errors import InputError
 from .slicing import SliceLabels
 
-__all__ = [
-    "mv_hat",
-    "mv_hat_bruteforce",
-    "ranked_columns",
-    "tie_starts",
-]
+__all__ = ["mv_hat", "mv_hat_bruteforce", "ranked_columns"]
 
 
 # cells of x per column block: the MV kernel, the ranked view's build and sis
@@ -167,13 +162,15 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     per slicing one sort of small unsigned keys and one segmented sum, so
     O(p * (n log n) * (1 + len(labels_list))), the column sort skipped when
     ``ranked`` passes the view of x already built. Entries of ``labels_list``
-    may be None (degenerate slicing), contributing a zero row. The kernel
-    checks nothing: its caller passes a checked x (``check_matrix``), labels
-    over its n rows, and, if any, a view of x's shape (``check_ranked``).
+    may be None (degenerate slicing), contributing a zero row; a one-slice
+    labeling (``mv_hat`` passes its labels as given) scores an exact 0.0,
+    its square sum being the F^2 term's. The kernel checks nothing: its
+    caller passes a checked x (``check_matrix``), labels over its n rows,
+    and, if any, a view of x's shape (``check_ranked``).
     """
     n, p = x.shape
     out = np.zeros((len(labels_list), p))
-    if not any(lab is not None and lab.s_eff > 1 for lab in labels_list):
+    if all(lab is None for lab in labels_list):
         return out
 
     ranks = ranked_columns(x) if ranked is None else ranked
@@ -188,7 +185,7 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     # each (2 r + 1) b is below 2 n^2
     product = np.empty((p, n), dtype=np.min_scalar_type(2 * n * n))
     for k, labels in enumerate(labels_list):
-        if labels is None or labels.s_eff == 1:
+        if labels is None:
             continue
         sizes = labels.counts.astype(exact)
         first = np.concatenate(([0], np.cumsum(labels.counts)[:-1]))

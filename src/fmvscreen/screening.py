@@ -57,7 +57,6 @@ class Dataset:
     y: np.ndarray
     x: np.ndarray
     kind: ResponseKind = ResponseKind.CONTINUOUS
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         x = check_matrix(self.x)
@@ -70,8 +69,6 @@ class Dataset:
             raise InputError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
         if self.kind is ResponseKind.COUNT:
             check_counts(y)
-        if self.names is not None and len(self.names) != p:
-            raise InputError(f"{len(self.names)} names for {p} columns")
 
     @property
     def n(self) -> int:

@@ -101,8 +101,8 @@ def build_discrete_slices(y, s: int) -> SliceLabels:
     if s < 2:
         raise InputError(f"slice count must be at least 2, got {s}")
     check_counts(arr)
-    counts_y = arr.astype(np.int64)
-    raw = np.where(counts_y < s - 1, counts_y + 1, s)
+    # capped before the integer cast, so a count past int64 lands in slice s
+    raw = np.where(arr < s - 1, arr + 1, s).astype(np.int64)
     return _labels_from_raw(raw)
 
 

@@ -36,10 +36,17 @@ def test_mms_full_active_set_is_p() -> None:
     assert mms(scores, range(1, 13)) == 12
 
 
-def test_mms_tie_break_by_column_index() -> None:
+def test_mms_counts_a_tie_against_the_screener() -> None:
+    # the active sets are the lowest indices, so ranking a tie by column
+    # index would flatter the screener; every tied score counts instead
     scores = np.array([1.0, 1.0, 1.0])
-    assert mms(scores, [1]) == 1
+    assert mms(scores, [1]) == 3
     assert mms(scores, [3]) == 3
+    scores = np.array([3.0, 2.0, 2.0, 1.0, 2.0])
+    assert mms(scores, [1]) == 1
+    assert mms(scores, [2]) == mms(scores, [1, 3]) == 4
+    assert mms(scores, [4]) == 5
+    assert mms(np.zeros(6), [1, 2]) == 6  # an all-zero vector never reads as good
 
 
 def test_mms_input_validation() -> None:
@@ -113,11 +120,11 @@ def test_degenerate_replications_counted_in_reports() -> None:
 
 
 def test_flagged_replications_stay_out_of_summary_statistics() -> None:
-    # the all-zero count response ranks the active columns first (MMS 2); that
-    # value stays in mms but must never read as a median
+    # the all-zero count response leaves every score 0, so each screener's
+    # MMS is p (4); that value stays in mms but must never read as a median
     spec = ExperimentSpec("6", n=3, p=4)
     for summary in run_replications(spec, ["fmv", "sis", "rcs", "fks"], reps=1, base_seed=13):
-        assert summary.mms.tolist() == [2], summary.screener
+        assert summary.mms.tolist() == [4], summary.screener
         assert summary.scored == 0 and not summary.spread_defined
         assert np.isnan(summary.median) and np.isnan(summary.sd) and np.isnan(summary.se)
     out = run_replications(spec, ["fmv"], reps=1, base_seed=13)

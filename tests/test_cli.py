@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cProfile
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -310,6 +311,93 @@ def test_screen_names_the_first_bad_cell_in_reading_order(tmp_path, capsys) -> N
     assert capsys.readouterr().err == "error: column 'a' has non-numeric value 'x' in row 2\n"
 
 
+@pytest.mark.parametrize("cell, shown", [("inf", "inf"), (" -Infinity ", "-inf"),
+                                         ("1e999", "inf"), ("-1e999", "-inf")])
+@pytest.mark.parametrize("column", ["resp", "b"])
+def test_screen_names_a_non_finite_cell_by_column_and_row(tmp_path, capsys, cell,
+                                                          shown, column) -> None:
+    # it used to surface after the read as a predictor index with no row
+    rows = [f"{i}.5,{i}.25,{i}" for i in range(40)]
+    j = ["resp", "a", "b"].index(column)
+    cells = rows[6].split(",")
+    cells[j] = cell
+    rows[6] = ",".join(cells)
+    data = tmp_path / "inf.csv"
+    data.write_text("\n".join(["resp,a,b"] + rows) + "\n")
+    ranked = tmp_path / "r.csv"
+    rc = main(["screen", "--input", str(data), "--response", "resp", "--out", str(ranked)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: column {column!r} has non-finite value {shown} in row 8\n")
+    assert not ranked.exists()
+
+
+def test_screen_raises_a_non_finite_cell_in_reading_order(tmp_path, capsys) -> None:
+    # 1e999 and 1.2.3 are both plain, so both rows fall in one 64-line block
+    # that np.loadtxt rejects and csv.reader reads again row by row
+    rows = [f"{i}.5,{i}.25,{i}" for i in range(60)]
+    data = tmp_path / "faults.csv"
+
+    def err(changes):
+        body = list(rows)
+        for k, line in changes.items():
+            body[k] = line
+        data.write_text("\n".join(["resp,a,b"] + body) + "\n")
+        assert main(["screen", "--input", str(data), "--response", "resp",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        return capsys.readouterr().err
+
+    inf_row_3 = "error: column 'a' has non-finite value inf in row 3\n"
+    assert err({1: "1.5,1e999,1", 3: "3.5,1.2.3,3"}) == inf_row_3
+    assert err({1: "1.5,1e999,1", 3: "3.5,oops,3"}) == inf_row_3
+    assert err({1: "1.5,inf,1", 3: "3.5,1.2.3,3"}) == inf_row_3
+    assert err({1: "1.5,1e999,1", 3: "3.5,3"}) == inf_row_3
+    assert err({1: "1.5,1e999,1.2.3"}) == inf_row_3
+    assert err({1: "1.5,1.2.3,1e999"}) == (
+        "error: column 'a' has non-numeric value '1.2.3' in row 3\n")
+    assert err({1: "1.5,NA,1", 3: "3.5,3,-1e999"}) == (
+        "error: column 'b' has non-finite value -inf in row 5\n")
+    assert err({1: "1.5,1.2.3,1", 3: "3.5,1e999,3"}) == (
+        "error: column 'a' has non-numeric value '1.2.3' in row 3\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_screen_rejects_a_header_that_repeats_a_name(tmp_path, capsys) -> None:
+    # report rows are keyed by name, so y,a,a used to write two rows named a;
+    # the header is checked before the response and the body
+    data = tmp_path / "dup.csv"
+    ranked = tmp_path / "r.csv"
+    for header, response, name in (("resp,a,a", "resp", "a"), ("resp,a,b,a", "nope", "a"),
+                                   ("resp,resp,a", "resp", "resp")):
+        width = header.count(",") + 1
+        rows = [",".join(["1.5"] * width), ",".join(["oops"] * width)]
+        data.write_text("\n".join([header] + rows) + "\n")
+        rc = main(["screen", "--input", str(data), "--response", response,
+                   "--out", str(ranked)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: header repeats column name {name!r}\n"
+        assert not ranked.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_names_an_overflowing_interaction(tmp_path, capsys) -> None:
+    # it used to be named by its index in the widened matrix, after a numpy
+    # RuntimeWarning on stderr
+    data = tmp_path / "big.csv"
+    rows = [f"{i}.5,{i}e200,{i}.25,{i}e200" for i in range(1, 40)]
+    data.write_text("\n".join(["resp,a,b,c"] + rows) + "\n")
+    ranked = tmp_path / "r.csv"
+    for subset in ("a,b,c", "all"):
+        rc = main(["screen", "--input", str(data), "--response", "resp",
+                   "--interactions", subset, "--out", str(ranked)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: interaction column 'a*c' overflows the float range\n")
+        assert not ranked.exists()
+    assert main(["screen", "--input", str(data), "--response", "resp",
+                 "--interactions", "a,b", "--out", str(ranked)]) == 0
+
+
 def test_parse_missing_tokens_and_padded_numbers(tmp_path) -> None:
     header = ["resp", "a", "b"]
     rows = [[" 1.5 ", "nan", "2"],
@@ -453,13 +541,17 @@ def test_bench_cli_warns_on_degenerate_replications(tmp_path, capsys, monkeypatc
 def reference_read(path, response):
     """screen's parse contract, evaluated the slow way: the whole file through
     csv.reader, then every cell through strip, the missing tokens and float().
-    Faults in reading order: the response column, then row by row a wrong
-    length or the row's leftmost non-numeric cell."""
+    Faults in reading order: a repeated header name, the response column,
+    then row by row a wrong length or the row's leftmost non-numeric or
+    infinite cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         records = list(csv.reader(fh))
     if not records:
         raise InputError(f"{path} is empty")
     header, rows = records[0], [row for row in records[1:] if row]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise InputError(f"header repeats column name {repeated[0]!r}")
     if response in header:
         y_idx = header.index(response)
     else:
@@ -479,10 +571,14 @@ def reference_read(path, response):
                 values[i, j] = np.nan
                 continue
             try:
-                values[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise InputError(f"column {header[j]!r} has non-numeric value {cell!r} "
                                  f"in row {i + 2}") from None
+            if math.isinf(value):
+                raise InputError(f"column {header[j]!r} has non-finite value {value!r} "
+                                 f"in row {i + 2}")
+            values[i, j] = value
     keep = ~np.isnan(values).any(axis=1)
     return header, y_idx, values[keep], int(len(rows) - keep.sum())
 
@@ -502,25 +598,26 @@ def read_outcome(reader, path, response):
 
 
 PLAIN_CELLS = ["1.5", "-2", "+3e-2", "1E5", ".5", "5.", "0", "-0.0", "0.0", "7",
-               "12345678901234567890.25", "1e999", "2.5e-310"]
-OTHER_GOOD_CELLS = [" 1.5 ", '"2.5"', "inf", "-Infinity", "1_0", "\u0661\u0662", "\t3\t",
-                    '"4.5\n"', "+1.0 "]
+               "12345678901234567890.25", "1.7e308", "2.5e-310"]
+OTHER_GOOD_CELLS = [" 1.5 ", '"2.5"', "1_0", "\u0661\u0662", "\t3\t", '"4.5\n"', "+1.0 "]
 MISSING_CELLS = ["", "NA", " na ", "NaN", "nUlL", " None ", "nan", "\tNA"]
 BAD_CELLS = ["#", "oops", "N/A", '"1,0"', "1e", ".", "-", "e5", "1.2.3", "--1", "0x10"]
+# they parse, but an infinite cell is a fault; the last two are plain
+NON_FINITE_CELLS = ["inf", "-Infinity", " +INF ", "1e999", "-1e999"]
 ENDINGS = ["\n", "\r\n", "\r"]
 
 
 def random_csv(rng, rows, p, faults, kinds=5):
     """A CSV text of ``rows`` data rows and p columns; ``faults`` is the
-    chance of a non-plain, missing, bad, ragged or blank line, the first
-    ``kinds`` of these five."""
+    chance of a non-plain, missing, bad or non-finite, ragged or blank line,
+    the first ``kinds`` of these five."""
     header = ["y"] + [f"c{j}" for j in range(1, p)]
     lines = [",".join(header)]
     for _ in range(rows):
         cells = [str(c) for c in rng.choice(PLAIN_CELLS, size=p)]
         if rng.random() < faults:
             kind = rng.integers(kinds)
-            pool = [OTHER_GOOD_CELLS, MISSING_CELLS, BAD_CELLS][min(kind, 2)]
+            pool = [OTHER_GOOD_CELLS, MISSING_CELLS, BAD_CELLS + NON_FINITE_CELLS][min(kind, 2)]
             cells[rng.integers(p)] = str(rng.choice(pool))
             if kind == 3:
                 cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
@@ -553,9 +650,11 @@ def test_reader_matches_reference_parser(tmp_path) -> None:
                                    "nope", str(p)]))
         want = read_outcome(reference_split, path, response)
         assert read_outcome(fmvscreen.cli._read_matrix, path, response) == want, case
-        outcomes.add(want[1].split()[0] if want[0] == "error" else "ok")
-    # every kind of fault was met: ragged rows, the response, bad cells
-    assert {"ok", "row", "response", "column"} <= outcomes
+        outcomes.add("ok" if want[0] != "error" else
+                     "non-finite" if "non-finite" in want[1] else want[1].split()[0])
+    # every kind of fault was met: ragged rows, the response, bad and
+    # non-finite cells
+    assert {"ok", "row", "response", "column", "non-finite"} <= outcomes
     # long files with missing and non-plain rows, the response first, in the
     # middle, last and by index
     for response in ["y", "c2", "c4", "3"]:

@@ -181,8 +181,6 @@ def test_dataset_validation() -> None:
     with pytest.raises(InputError, match="^count response must be nonnegative integer-valued$"):
         Dataset(y=np.array([0.5, 1.0] * 15), x=x, kind=ResponseKind.COUNT)
     with pytest.raises(InputError):
-        Dataset(y=y, x=x, names=("a", "b"))
-    with pytest.raises(InputError):
         screen(make_dataset(), schemes=[3], d_n=0)
 
 

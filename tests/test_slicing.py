@@ -93,6 +93,13 @@ def test_discrete_capped_map() -> None:
     assert np.array_equal(labels.counts, [2, 1, 2])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_discrete_caps_a_count_past_int64() -> None:
+    # cast to int64 first, such a count wrapped to a negative label
+    labels = build_discrete_slices([0.0, 1.0, 1e200, 2.0 ** 63, 7.0], 3)
+    assert np.array_equal(labels.g, [1, 2, 3, 3, 3])
+
+
 def test_discrete_collapses_to_single_slice() -> None:
     assert build_discrete_slices([0.0, 0.0, 0.0], 3).s_eff == 1
     assert build_discrete_slices([5.0, 6.0, 7.0], 2).s_eff == 1  # cap absorbs all
