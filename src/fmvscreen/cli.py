@@ -22,8 +22,8 @@ __all__ = ["main", "build_parser"]
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 # body lines per np.loadtxt call in ``screen``'s CSV reader
 _BLOCK_LINES = 64
-# deletes the characters a plain line may hold (see ``_is_plain``)
-_NOT_PLAIN = str.maketrans("", "", "0123456789.+-eE,\r\n")
+# the bytes a plain line may hold (see ``_is_plain``)
+_PLAIN_BYTES = b"0123456789.+-eE,\r\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,9 +86,11 @@ def _parse_schemes(text: str) -> list[int] | None:
 def _is_plain(line: str) -> bool:
     """True when the line holds only digits, signs, points, exponent letters
     and commas, with no empty field: ``np.loadtxt`` then reads it exactly as
-    ``csv.reader`` and ``float()`` would, or rejects it."""
+    ``csv.reader`` and ``float()`` would, or rejects it. The test deletes
+    those bytes from the line's UTF-8 encoding: a non-ASCII character leaves
+    bytes of 0x80 and above, so its line is not plain."""
     body = line.rstrip("\r\n")
-    return (not line.translate(_NOT_PLAIN) and body != "" and body[0] != ","
+    return (not line.encode().translate(None, _PLAIN_BYTES) and body != "" and body[0] != ","
             and body[-1] != "," and ",," not in body)
 
 
@@ -210,14 +212,17 @@ class _Body:
         self.x.resize((rows, self.x.shape[1]), refcheck=False)
 
 
-def _check_header(header: list[str]) -> None:
-    """Rejects a header that repeats a name, since report rows are keyed by
-    name. Its set of names is freed on return, before the body is read."""
-    seen: set[str] = set()
-    for name in header:
+def _first_repeat(names: list[str], taken: list[str] | tuple = ()) -> str | None:
+    """The first of ``names`` that ``taken`` or an earlier one of ``names``
+    already holds, or None. Report rows are keyed by name, so the header and
+    the added columns' names are checked with it; its set of names is freed
+    on return, before the body is read."""
+    seen = set(taken)
+    for name in names:
         if name in seen:
-            raise InputError(f"header repeats column name {name!r}")
+            return name
         seen.add(name)
+    return None
 
 
 def _response_index(header: list[str], response: str) -> int:
@@ -256,7 +261,9 @@ def _read_matrix(path: str, response: str
             header = next(csv.reader(fh), None)
             if header is None:
                 raise InputError(f"{path} is empty")
-            _check_header(header)
+            repeated = _first_repeat(header)
+            if repeated is not None:
+                raise InputError(f"header repeats column name {repeated!r}")
             body = _Body(header, _response_index(header, response))
             plain: list[str] = []
             for line in fh:
@@ -291,7 +298,7 @@ def cmd_screen(args) -> int:
         raise InputError("fewer than two complete rows after dropping missing values")
     names = [name for j, name in enumerate(header) if j != y_idx]
 
-    added, added_names = [], []
+    pairs = []
     if args.interactions is not None:
         subset = names if args.interactions == "all" else [
             tok for tok in args.interactions.split(",") if tok
@@ -300,17 +307,21 @@ def cmd_screen(args) -> int:
         if missing:
             raise InputError(f"interaction columns not found: {', '.join(missing)}")
         pos = sorted({names.index(s) for s in subset})  # each named column once
-        for a, b in itertools.combinations(pos, 2):
-            with np.errstate(over="ignore"):  # an overflow is named below
-                product = x[:, a] * x[:, b]
-            added_names.append(f"{names[a]}*{names[b]}")
-            if not np.isfinite(product).all():
-                raise InputError(f"interaction column {added_names[-1]!r} overflows "
-                                 "the float range")
-            added.append(product)
+        pairs = list(itertools.combinations(pos, 2))
+    added_names = [f"{names[a]}*{names[b]}" for a, b in pairs]
+    added_names += [f"noise{i}" for i in range(1, args.noise + 1)]
+    repeated = _first_repeat(added_names, names)
+    if repeated is not None:
+        raise InputError(f"added column {repeated!r} repeats a column name")
+    added = []
+    for (a, b), name in zip(pairs, added_names):
+        with np.errstate(over="ignore"):  # an overflow is named below
+            product = x[:, a] * x[:, b]
+        if not np.isfinite(product).all():
+            raise InputError(f"interaction column {name!r} overflows the float range")
+        added.append(product)
     if args.noise:
         added.append(_standard_cauchy(derived_rng(args.seed, 0), (x.shape[0], args.noise)))
-        added_names += [f"noise{i}" for i in range(1, args.noise + 1)]
     if added:
         x = np.column_stack([x, *added])
         names += added_names

@@ -13,7 +13,11 @@ point (constant predictors and single-slice partitions included).
 The fast kernel reads each slice's ECDF only through exact integer sums over
 a ranked view of the columns (``ranked_columns``): one (p, n) array of
 competition ranks, each cell the start of its tie run in the column's sorted
-order, one byte per cell up to n = 255 and two up to 65535.
+order, one byte per cell up to n = 255 and two up to 65535. The view sorts
+each column once, as floats whose lowest mantissa bits are overwritten with
+their row index, and checks the columns where those bits could hide a real
+difference; a column that fails the check is ranked again by an exact
+argsort.
 sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
 ``mv_hat_columns_multi``, where b_k is entry k's rank. Per scheme it sorts
 one small unsigned key per cell, so it costs O(p * n log n * (1 + schemes)).
@@ -33,7 +37,7 @@ builds the view once and passes it as ``ranked=``; the column sort is then
 paid once.
 
 ``_BLOCK_CELLS`` is the one cell budget, sized so that a view-build block's
-float copy and sort order take half of a 2 MiB per-core L2 cache.
+one 8-byte buffer takes a quarter of a 2 MiB per-core L2 cache.
 ``ranked_columns`` builds the view over column blocks of at most that many
 cells, ``screening.fmv_scores`` scores the kernel and sis
 (``baselines.pearson_scores``) centres its columns over the same width,
@@ -56,11 +60,12 @@ __all__ = ["mv_hat", "mv_hat_bruteforce", "ranked_columns"]
 # cells of x per column block: the MV kernel, the ranked view's build and sis
 # each work over column blocks of about this many cells, and fks over blocks
 # of a byte budget sized from it, so their temporaries stay within a fixed
-# budget at any p (the kernel holds up to about 18 bytes a block cell when
-# the block sorts its own columns, 13 with a view passed in; the view build
-# 18 to 19). At 2**16 the view build's float copy and int64 order take 1 MiB
-# a block, half a 2 MiB per-core L2 cache, and a block is a tenth of a
-# 200 x 3000 matrix and a seventh of a 400 x 1000 one
+# budget at any p (the kernel holds about 13 bytes a block cell with a view
+# passed in, and the view build 11 to 13 besides the ranks it returns, so
+# 14 to 17 when the block sorts its own columns). At 2**16 the view build's
+# one 8-byte buffer, which holds the tagged values and then the scatter
+# index, takes 512 KiB a block, a quarter of a 2 MiB per-core L2 cache, and
+# a block is a tenth of a 200 x 3000 matrix and a seventh of a 400 x 1000 one
 _BLOCK_CELLS = 1 << 16
 
 
@@ -78,35 +83,83 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
     and -0.0 and 0.0 are equal.
 
     The ranks are built over column blocks of at most ``_BLOCK_CELLS`` cells
-    into one preallocated (p, n) array. Each block's columns are copied into
-    a contiguous array, argsorted along its rows, and then sorted in place
-    for the tie runs, so above the result only one block's float copy, int64
-    order and sorted ranks are alive, 18 to 19 bytes a block cell at any p.
-    Every column is ranked alone, so the blocks cannot change the result,
-    and the order within a tie run does not matter, so the default
-    (unstable) sort serves.
+    into one preallocated (p, n) array. Each block's columns are copied, plus
+    0.0 so that -0.0 reads as 0.0, into one contiguous float64 buffer, and the
+    low b = bit_length(n - 1) mantissa bits of every value are overwritten
+    with its row index. The exponent is kept, so the tagged values stay
+    finite. One in-place float sort per block orders every column, and the
+    tags read back give each sorted position its row.
+
+    Why the ranks are exact: call a value's bits above the tag its prefix.
+    Values with one prefix sit together in the sorted column, and the groups
+    come in the order of the values, since the tags change no bit that tells
+    two groups apart. Equal values share a prefix, so each group is a union
+    of whole tie runs, and a group whose values are all equal is one tie run,
+    within which the order does not matter. So a column is ranked exactly
+    when every sorted neighbour pair within a group (a flagged pair) is an
+    exact tie. The check: a block in which some group holds two or more
+    values reloads its exact values into the buffer and sorts them, and a
+    column whose exact sort has fewer tied neighbours than flagged ones (one
+    that holds values one ulp apart, 0.1 + 0.2 beside 0.3, or a subnormal
+    beside 0.0) is ranked again by an argsort of its exact values
+    (``_argsort_runs``).
+
+    Above the result, one block's 8-byte buffer (later the scatter index),
+    its sort order and sorted ranks, and the check's flags are alive, 11
+    bytes a block cell up to n = 255 and 13 above, at any p. Every column is
+    ranked alone, so the blocks cannot change the result.
     """
     n, p = x.shape
     count = np.min_scalar_type(n)
     ranks = np.empty((p, n), dtype=count)
+    bits = max(n - 1, 0).bit_length()
+    tag = (1 << bits) - 1
+    rows = np.arange(n)
     steps = np.arange(1, n, dtype=count)
     for lo, hi in _column_blocks(p, _BLOCK_CELLS // max(n, 1)):
-        xt = x[:, lo:hi].T.copy(order="C")  # never a view: it is sorted in place
-        order = np.argsort(xt, axis=1)
-        xt.sort(axis=1)
+        buf = np.empty((hi - lo, n))
+        np.add(x[:, lo:hi].T, 0.0, out=buf)
+        tagged = buf.view(np.int64)
+        tagged &= ~tag
+        tagged |= rows
+        buf.sort(axis=1)
+        order = np.empty(buf.shape, dtype=count)
+        np.bitwise_and(tagged, tag, out=order, casting="unsafe")
+        tagged >>= bits
+        # 1 where a sorted position's prefix differs from its predecessor's
+        sorted_ranks = np.zeros(buf.shape, dtype=count)
+        np.not_equal(tagged[:, 1:], tagged[:, :-1], out=sorted_ranks[:, 1:])
+        group_starts = sorted_ranks[:, 1:].sum(axis=1, dtype=np.intp)
+        if (group_starts < n - 1).any():
+            np.add(x[:, lo:hi].T, 0.0, out=buf)
+            buf.sort(axis=1)
+            run_starts = np.count_nonzero(buf[:, 1:] != buf[:, :-1], axis=1)
+            fail = np.flatnonzero(run_starts != group_starts)
+            if fail.size:
+                order[fail], sorted_ranks[fail] = _argsort_runs(x[:, lo + fail].T.copy())
         # each sorted position's rank: the last position at or before it
         # whose value differs from its predecessor's
-        sorted_ranks = np.zeros(xt.shape, dtype=count)
-        np.not_equal(xt[:, 1:], xt[:, :-1], out=sorted_ranks[:, 1:])
-        del xt
         sorted_ranks[:, 1:] *= steps
         np.maximum.accumulate(sorted_ranks, axis=1, out=sorted_ranks)
-        # back to row order through flat indices, a plain 1-d scatter that
-        # costs well under half of put_along_axis
-        order += n * np.arange(hi - lo)[:, None]
-        ranks[lo:hi].reshape(-1)[order.reshape(-1)] = sorted_ranks.reshape(-1)
-        del order, sorted_ranks  # before the next block allocates its own
+        # back to row order through flat indices into the block, held in the
+        # buffer: a plain 1-d scatter that costs well under half of
+        # put_along_axis
+        np.add(order, n * np.arange(hi - lo)[:, None], out=tagged)
+        del order
+        ranks[lo:hi].reshape(-1)[tagged.reshape(-1)] = sorted_ranks.reshape(-1)
+        del buf, tagged, sorted_ranks  # before the next block allocates its own
     return ranks
+
+
+def _argsort_runs(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact ranking of the columns whose tags could hide a difference,
+    each a row of ``xt`` (sorted in place): its argsort, and at each sorted
+    position 1 where the value differs from its predecessor's, else 0."""
+    order = np.argsort(xt, axis=1)
+    xt.sort(axis=1)
+    differs = np.zeros(xt.shape, dtype=np.uint8)
+    np.not_equal(xt[:, 1:], xt[:, :-1], out=differs[:, 1:])
+    return order, differs
 
 
 def tie_starts(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

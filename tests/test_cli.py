@@ -379,6 +379,54 @@ def test_screen_rejects_a_header_that_repeats_a_name(tmp_path, capsys) -> None:
         assert not ranked.exists()
 
 
+def test_screen_rejects_an_added_column_that_repeats_a_name(tmp_path, capsys) -> None:
+    # an interaction or noise column named like a header column (or like
+    # an earlier added one) used to write two report rows of one name
+    data = tmp_path / "clash.csv"
+    ranked = tmp_path / "r.csv"
+    rng = np.random.default_rng(5)
+    for header, added, name in (("resp,a,b,a*b", ["--interactions", "a,b"], "a*b"),
+                                ("resp,a,noise1", ["--noise", "2"], "noise1"),
+                                ("resp,a,b*c,a*b,c", ["--interactions", "all"], "a*b*c"),
+                                ("resp,a,b", ["--interactions", "a,b"], None)):
+        width = header.count(",") + 1
+        rows = [",".join(f"{v:.3f}" for v in rng.normal(size=width)) for _ in range(40)]
+        data.write_text("\n".join([header] + rows) + "\n")
+        rc = main(["screen", "--input", str(data), "--response", "resp", *added,
+                   "--out", str(ranked)])
+        if name is None:
+            assert rc == 0 and ranked.exists()
+            continue
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: added column {name!r} repeats a column name\n"
+        assert not ranked.exists()
+
+
+def test_plain_line_test_in_bytes_matches_the_text_test() -> None:
+    # _is_plain deletes the plain bytes from the line's UTF-8 encoding; it
+    # must agree with deleting the same characters from the text, also on
+    # non-ASCII characters, NUL, tabs, quotes and spaces
+    text_table = str.maketrans("", "", "0123456789.+-eE,\r\n")
+
+    def by_text(line: str) -> bool:
+        body = line.rstrip("\r\n")
+        return (not line.translate(text_table) and body != "" and body[0] != ","
+                and body[-1] != "," and ",," not in body)
+
+    rng = np.random.default_rng(13)
+    alphabet = list("0123456789.+-eE,,,\r\n") + ["\t", "\x00", '"', " ", "é", "\u00b5",
+                                                     "\u2212", "\U0001f600", "x", "\x7f"]
+    lines = ["", "\n", "1,2\n", "1.5e3,-2\r\n", ",1\n", "1,\n", "1,,2\n", "1,\u22122\n"]
+    for _ in range(4000):
+        cells = rng.choice(alphabet, size=int(rng.integers(1, 12)))
+        plain = rng.random() < 0.5
+        if plain:
+            cells = [c for c in cells if c in "0123456789.+-eE,"] or ["1"]
+        lines.append("".join(cells) + rng.choice(["", "\n", "\r\n"]))
+    assert all(fmvscreen.cli._is_plain(line) == by_text(line) for line in lines)
+    assert sum(map(by_text, lines)) > 100  # both answers are exercised
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_screen_names_an_overflowing_interaction(tmp_path, capsys) -> None:
     # it used to be named by its index in the widened matrix, after a numpy

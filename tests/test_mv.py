@@ -103,7 +103,29 @@ def edge_columns(rng, n: int) -> np.ndarray:
     return x
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 50, 255, 256, 257])
+def near_tie_columns(rng, n: int) -> np.ndarray:
+    """An n-by-4 matrix of values that differ only in their lowest mantissa
+    bits, where the view's row tags sit: one-ulp neighbours of 1.0,
+    0.1 + 0.2 beside 0.3, the smallest subnormals beside -0.0 and 0.0, and
+    one-ulp neighbours of +-1e300. Each column's first rows hold a near tie,
+    so from n = 5 on every column needs the exact path."""
+    up = np.nextafter
+    values = [[1.0, up(1.0, 2.0), up(1.0, 0.0)],
+              [0.1 + 0.2, 0.3],
+              [5e-324, 0.0, -5e-324, -0.0],
+              [1e300, up(1e300, 0.0), -1e300, -up(1e300, 0.0)]]
+    x = np.empty((n, len(values)))
+    for j, choices in enumerate(values):
+        x[:, j] = rng.choice(choices, size=n)
+        x[:len(choices), j] = choices[:n]
+    return x
+
+
+def brute_ranks(x: np.ndarray) -> np.ndarray:
+    return (x[None, :, :] < x[:, None, :]).sum(axis=1).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 50, 255, 256, 257, 511, 512])
 def test_competition_ranks_match_bruteforce(n) -> None:
     # the view shared by the kernel, fks and Kendall: a row's rank is the
     # count of strictly smaller values in its column, in the smallest
@@ -112,9 +134,52 @@ def test_competition_ranks_match_bruteforce(n) -> None:
     ranks = ranked_columns(x)
     assert ranks.shape == (5, n)
     assert ranks.dtype == np.min_scalar_type(n)
-    expect = (x[None, :, :] < x[:, None, :]).sum(axis=1).T
-    assert np.array_equal(ranks, expect)
+    assert np.array_equal(ranks, brute_ranks(x))
     assert not ranks[3].any()  # the constant column
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 255, 256, 257, 511, 512])
+@pytest.mark.parametrize("block_columns", [None, 2])
+def test_near_tie_ranks_match_bruteforce(n, block_columns, monkeypatch) -> None:
+    # the row tags overwrite the lowest mantissa bits, so values one ulp
+    # apart can share every bit above them; the check must find those
+    # columns and rank them exactly, beside continuous, constant and
+    # two-valued +-1e300 ones, also when the columns go through blocks of two
+    rng = np.random.default_rng(61 + n)
+    x = np.column_stack([near_tie_columns(rng, n), rng.normal(size=n), np.full(n, -3.0),
+                         rng.choice([-1e300, 1e300], size=n)])
+    if block_columns is not None:
+        monkeypatch.setattr(fmvscreen.mv, "_BLOCK_CELLS", block_columns * n)
+    ranks = ranked_columns(x)
+    assert ranks.dtype == np.min_scalar_type(n)
+    assert np.array_equal(ranks, brute_ranks(x))
+
+
+@pytest.mark.parametrize("n", [9, 257])
+def test_exact_path_runs_only_for_near_ties(n, monkeypatch) -> None:
+    # the exact argsort runs for the near-tie columns alone: a continuous
+    # column has no shared prefix, and a rounded one's shared prefixes are
+    # all exact ties; x is left as it was, in bytes and in flags
+    rng = np.random.default_rng(71 + n)
+    near = near_tie_columns(rng, n)
+    x = np.column_stack([rng.normal(size=n), near[:, :2], np.round(rng.normal(size=n), 1),
+                         near[:, 2:], np.full(n, 2.0)])
+    x.flags.writeable = False
+    flags = {k: x.flags[k] for k in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE")}
+    before = x.tobytes()
+    seen = []
+    exact = fmvscreen.mv._argsort_runs
+
+    def spy(xt):
+        seen.extend(xt.tolist())
+        return exact(xt)
+
+    monkeypatch.setattr(fmvscreen.mv, "_argsort_runs", spy)
+    ranks = ranked_columns(x)
+    assert np.array_equal(ranks, brute_ranks(x))
+    assert sorted(seen) == sorted(x[:, [1, 2, 4, 5]].T.tolist())
+    assert x.tobytes() == before
+    assert {k: x.flags[k] for k in flags} == flags
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 50, 256])

@@ -1,7 +1,8 @@
 """Property tests for the rank kernels: Kendall, the MV kernel, fused fmv
 and fks against their O(n^2) oracles, bit-identity under row permutation,
 and fks and fmv bit-identical under a strictly increasing map of y, over
-tied, tiny (n = 2, 3), count and categorical inputs with -0.0 next to 0.0.
+tied, tiny (n = 2, 3), count and categorical inputs with -0.0 next to 0.0
+and values one ulp apart.
 Also sis (Pearson): each column scored alone, bit for bit, over any column
 blocks, and within 1e-12 of ``np.corrcoef``."""
 
@@ -36,12 +37,15 @@ SETTINGS = settings(max_examples=150, deadline=None)
 TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0])
 FREE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 COUNTS = st.integers(0, 4).map(float)
+# values one ulp apart, where the ranked view's row tags sit, beside ties
+NEAR = st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), 0.1 + 0.2, 0.3,
+                        5e-324, -5e-324, -0.0, 0.0])
 SIZES = st.one_of(st.sampled_from([2, 3]), st.integers(2, 40))
 
 
 @st.composite
 def columns(draw, n: int) -> np.ndarray:
-    elements = draw(st.sampled_from([TIED, FREE, st.one_of(TIED, FREE), COUNTS]))
+    elements = draw(st.sampled_from([TIED, FREE, st.one_of(TIED, FREE), COUNTS, NEAR]))
     return draw(arrays(np.float64, n, elements=elements))
 
 
