@@ -16,11 +16,14 @@ competition ranks, each cell the start of its tie run in the column's sorted
 order, one byte per cell up to n = 255 and two up to 65535. The view sorts
 each column once, as floats whose lowest mantissa bits are overwritten with
 their row index, and checks the columns where those bits could hide a real
-difference; a column that fails the check is ranked again by an exact
-argsort.
-sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k), derived at
-``mv_hat_columns_multi``, where b_k is entry k's rank. Per scheme it sorts
-one small unsigned key per cell, so it costs O(p * n log n * (1 + schemes)).
+difference; a column that fails the check is ordered by an exact argsort.
+Each slice's square sum is then
+
+    sum_i c_s(t_i)^2 = sum_{k in s} (2 r_k + 1)(n - b_k),
+
+derived at ``mv_hat_columns_multi``, where b_k is entry k's rank. Per
+scheme the kernel sorts one small unsigned key per cell, so it costs
+O(p * n log n * (1 + schemes)).
 Two baselines read the same view. fks argsorts the ranks once per column
 block (a radix sort of small unsigned ints) and gathers every scheme's
 slice labels through that order once, packed into per-row codes of at most
@@ -42,8 +45,9 @@ one 8-byte buffer takes a quarter of a 2 MiB per-core L2 cache.
 cells, ``screening.fmv_scores`` scores the kernel and sis
 (``baselines.pearson_scores``) centres its columns over the same width,
 and fks sizes its blocks from it in bytes, ``baselines._FKS_BUDGET_BYTES``
-per budget cell, so no temporary grows with p. ``_column_blocks`` is the one helper for every column-block loop,
-and a block's view is the rows ``ranked[lo:hi]``.
+per budget cell, so no temporary grows with p. ``_column_blocks`` is the
+one helper for every column-block loop, and a block's view is the rows
+``ranked[lo:hi]``.
 """
 
 from __future__ import annotations
@@ -61,11 +65,12 @@ __all__ = ["mv_hat", "mv_hat_bruteforce", "ranked_columns"]
 # each work over column blocks of about this many cells, and fks over blocks
 # of a byte budget sized from it, so their temporaries stay within a fixed
 # budget at any p (the kernel holds about 13 bytes a block cell with a view
-# passed in, and the view build 11 to 13 besides the ranks it returns, so
-# 14 to 17 when the block sorts its own columns). At 2**16 the view build's
-# one 8-byte buffer, which holds the tagged values and then the scatter
-# index, takes 512 KiB a block, a quarter of a 2 MiB per-core L2 cache, and
-# a block is a tenth of a 200 x 3000 matrix and a seventh of a 400 x 1000 one
+# passed in, and the view build 12 to 14 besides the ranks it returns, up to
+# 20 in a block whose columns fail its exactness check). At 2**16 the view
+# build's one 8-byte buffer, which holds the tagged values and then the
+# scatter index, takes 512 KiB a block, a quarter of a 2 MiB per-core L2
+# cache, and a block is a tenth of a 200 x 3000 matrix and a seventh of a
+# 400 x 1000 one
 _BLOCK_CELLS = 1 << 16
 
 
@@ -96,18 +101,20 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
     two groups apart. Equal values share a prefix, so each group is a union
     of whole tie runs, and a group whose values are all equal is one tie run,
     within which the order does not matter. So a column is ranked exactly
-    when every sorted neighbour pair within a group (a flagged pair) is an
-    exact tie. The check: a block in which some group holds two or more
-    values reloads its exact values into the buffer and sorts them, and a
-    column whose exact sort has fewer tied neighbours than flagged ones (one
-    that holds values one ulp apart, 0.1 + 0.2 beside 0.3, or a subnormal
-    beside 0.0) is ranked again by an argsort of its exact values
-    (``_argsort_runs``).
+    when every sorted neighbour pair within a group is an exact tie. The
+    check: a block in which some group holds two or more values reloads its
+    exact values into the buffer and sorts them. The sorted exact values
+    flag every column's tie runs, whatever its tagged order. A column with
+    as many runs as groups passes and keeps its tagged order; one with more
+    (it holds values one ulp apart, 0.1 + 0.2 beside 0.3, or a subnormal
+    beside 0.0) takes its order from an argsort of its exact values.
 
     Above the result, one block's 8-byte buffer (later the scatter index),
-    its sort order and sorted ranks, and the check's flags are alive, 11
-    bytes a block cell up to n = 255 and 13 above, at any p. Every column is
-    ranked alone, so the blocks cannot change the result.
+    its sort order and sorted ranks, and numpy's ufunc buffers are alive,
+    about 12 bytes a block cell up to n = 255 and 14 above, at any p. A
+    column that fails the check adds its argsort's 8 bytes a cell, so a
+    block of such columns holds 18 and 20. Every column is ranked alone, so
+    the blocks cannot change the result.
     """
     n, p = x.shape
     count = np.min_scalar_type(n)
@@ -131,12 +138,20 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
         np.not_equal(tagged[:, 1:], tagged[:, :-1], out=sorted_ranks[:, 1:])
         group_starts = sorted_ranks[:, 1:].sum(axis=1, dtype=np.intp)
         if (group_starts < n - 1).any():
+            # the exact values, sorted, flag every column's tie runs; a column
+            # with more runs than groups is ordered by an exact argsort
             np.add(x[:, lo:hi].T, 0.0, out=buf)
             buf.sort(axis=1)
-            run_starts = np.count_nonzero(buf[:, 1:] != buf[:, :-1], axis=1)
+            np.not_equal(buf[:, 1:], buf[:, :-1], out=sorted_ranks[:, 1:])
+            run_starts = sorted_ranks[:, 1:].sum(axis=1, dtype=np.intp)
             fail = np.flatnonzero(run_starts != group_starts)
             if fail.size:
-                order[fail], sorted_ranks[fail] = _argsort_runs(x[:, lo + fail].T.copy())
+                # their exact values moved to the buffer's first rows: take
+                # copies a strided source whole, but only the rows it moves
+                # from a contiguous one
+                np.add(x[:, lo:hi].T, 0.0, out=buf)
+                exact = np.take(buf, fail, axis=0, out=buf[:fail.size], mode="clip")
+                order[fail] = np.argsort(exact, axis=1)
         # each sorted position's rank: the last position at or before it
         # whose value differs from its predecessor's
         sorted_ranks[:, 1:] *= steps
@@ -149,17 +164,6 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
         ranks[lo:hi].reshape(-1)[tagged.reshape(-1)] = sorted_ranks.reshape(-1)
         del buf, tagged, sorted_ranks  # before the next block allocates its own
     return ranks
-
-
-def _argsort_runs(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact ranking of the columns whose tags could hide a difference,
-    each a row of ``xt`` (sorted in place): its argsort, and at each sorted
-    position 1 where the value differs from its predecessor's, else 0."""
-    order = np.argsort(xt, axis=1)
-    xt.sort(axis=1)
-    differs = np.zeros(xt.shape, dtype=np.uint8)
-    np.not_equal(xt[:, 1:], xt[:, :-1], out=differs[:, 1:])
-    return order, differs
 
 
 def tie_starts(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +259,9 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
         dot = np.add.reduceat(product, first, axis=1, dtype=exact)
         sq_counts = n * sizes * sizes - dot
         out[k] = ((sq_counts / sizes).sum(axis=1) - f_sq / n) / (n * n)
-    return out
+    # the sums are exact, but their float quotients can round a zero
+    # statistic below zero, under the floor of a sum of squares
+    return np.maximum(out, 0.0, out=out)
 
 
 def mv_hat(x, labels: SliceLabels) -> float:

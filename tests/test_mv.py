@@ -52,6 +52,16 @@ def test_single_slice_is_exactly_zero() -> None:
     assert mv_hat_bruteforce(x, labels) == 0.0
 
 
+def test_equal_slice_shares_score_exactly_zero() -> None:
+    # each slice holds two zeros in five, so every conditional ECDF is the
+    # unconditional one; the float quotients of the kernel's exact sums
+    # round this zero to -1.3e-16, below the floor of a sum of squares
+    x = np.array([1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0], dtype=float)
+    labels = make_labels([3, 2, 1, 1, 2, 2, 1, 2, 1, 2, 1, 3, 3, 3, 3])
+    assert mv_hat_bruteforce(x, labels) == 0.0
+    assert mv_hat(x, labels) == 0.0
+
+
 def test_fast_path_matches_bruteforce_randomized() -> None:
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -168,13 +178,13 @@ def test_exact_path_runs_only_for_near_ties(n, monkeypatch) -> None:
     flags = {k: x.flags[k] for k in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE")}
     before = x.tobytes()
     seen = []
-    exact = fmvscreen.mv._argsort_runs
+    argsort = np.argsort
 
-    def spy(xt):
-        seen.extend(xt.tolist())
-        return exact(xt)
+    def spy(a, axis=-1):
+        seen.extend(a.tolist())
+        return argsort(a, axis=axis)
 
-    monkeypatch.setattr(fmvscreen.mv, "_argsort_runs", spy)
+    monkeypatch.setattr(np, "argsort", spy)
     ranks = ranked_columns(x)
     assert np.array_equal(ranks, brute_ranks(x))
     assert sorted(seen) == sorted(x[:, [1, 2, 4, 5]].T.tolist())
