@@ -9,7 +9,7 @@ import numpy as np
 
 from .checks import check_matrix, check_ranked, check_response, check_vector
 from .errors import InputError
-from .mv import _BLOCK_CELLS, _column_blocks, ranked_columns, tie_starts
+from .mv import _BLOCK_CELLS, _column_blocks, ranked_columns
 from .screening import ResponseKind, _resolve_schemes, labels_for_schemes
 from .slicing import SliceLabels
 
@@ -175,10 +175,16 @@ def kendall_score_bruteforce(x, y) -> float:
 # gaps 1/lcm apart stay further apart than float rounding can close, up to
 # 3 * 2**-54 on each
 _EXACT_LCM = 1 << 50
-# fks's block budget in bytes per ``_BLOCK_CELLS`` cell, 3 MiB a block: its
-# count scan (``_running_counts``) pays about 2 sqrt(n) Python steps per
-# scheme per block, so it keeps wider blocks than the kernel
-_FKS_BUDGET_BYTES = 48
+# fks's block budget in bytes per ``_BLOCK_CELLS`` cell, 1.5 MiB a block, so
+# that a block's count lanes and gap temporaries stay inside a 2 MiB per-core
+# L2 cache. Its count scan (``_running_counts``) pays about 2 sqrt(n) numpy
+# calls per scheme per block, so the blocks stay wider than the kernel's.
+# Measured in one process (numpy 2.4, Xeon 2.1 GHz, view passed, medians of
+# 21 rounds): against 3 MiB blocks, 1.5 MiB cut fks's peak above x on a
+# 400 x 1000 matrix 5.1 -> 3.1 B/cell for 13.7 -> 15.5 ms, and on 200 x 3000
+# 3.6 -> 2.1 B/cell at no cost (15.2 -> 14.3 ms); the kernel's width, 7
+# blocks of 400 x 1000 against 5, took 18.5 ms
+_FKS_BUDGET_BYTES = 24
 
 
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
@@ -188,17 +194,22 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
 
     Cost: one column sort for x's ranked view (``mv.ranked_columns``; none
     when ``ranked`` passes it already built), then per column block one
-    radix argsort of the ranks, one gather of each packed slice code
-    (``_packed_codes``) through it and the tie runs of ``mv.tie_starts``,
-    shared by all schemes, and per scheme O(p * n * s_eff) small-integer
-    adds and maxima in exact integers (``_widest_ecdf_gap``), the counts
-    summed in about 2 sqrt(n) numpy calls a block. Memory: the columns go
-    through blocks of at most ``_FKS_BUDGET_BYTES`` * ``mv._BLOCK_CELLS``
-    bytes (3 MiB). A block cell holds, at its fullest, either
-    its 8-byte sort order and its codes gathered and transposed, or the
-    codes and, for the scheme that needs most, s_eff count-bytes (two per
-    lane past 255 entries a slice), its labels and four temporaries of
-    ``_gap_type``. No temporary grows with p.
+    in-place sort of row-tagged keys (rank << b) | row, b = bit_length(n - 1),
+    in the smallest unsigned dtype that holds them (two bytes up to n = 256,
+    four up to 65536, eight beyond). Ranks are integers and ties break by
+    row, so the order is the ranks' stable argsort: the low b bits give each
+    sorted position's row, and the bits above give the tied columns' run
+    starts. Then one gather of each packed slice code (``_packed_codes``)
+    through that order, shared by all schemes, and per scheme
+    O(p * n * s_eff) small-integer adds and maxima in exact integers
+    (``_widest_ecdf_gap``), the counts summed in about 2 sqrt(n) numpy calls
+    a block. Memory: the columns go through blocks of at most
+    ``_FKS_BUDGET_BYTES`` * ``mv._BLOCK_CELLS`` bytes (1.5 MiB). A block cell
+    holds, at its fullest, either its 8-byte sort order beside its key or
+    its codes gathered and transposed, or the codes and, for the scheme that
+    needs most, s_eff count-bytes (two per lane past 255 entries a slice),
+    its labels and four temporaries of ``_gap_type``. No temporary grows
+    with p.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -213,24 +224,39 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         ranked = ranked_columns(x)
     codes, fields = _packed_codes(live)
     count_types = [np.min_scalar_type(labels.counts.max()) for labels in live]
-    # a block cell's bytes at their most: the 8-byte sort order while a code
-    # is gathered and transposed, or the codes with, for the scheme that
-    # needs most, its count lanes and its labels or four gap temporaries
+    # each block is ordered by one sort of row-tagged keys (rank << bits) | row:
+    # ranks are integers and ties break by row, as in a stable argsort
+    bits = (n - 1).bit_length()
+    tag = (1 << bits) - 1
+    key = np.min_scalar_type(((n - 1) << bits) | tag)
+    rows = np.arange(n, dtype=key)
+    total = n * (n - 1) // 2
+    # a block cell's bytes at their most: the 8-byte sort order beside its
+    # tagged key, or while a code is gathered and transposed, or the codes
+    # with, for the scheme that needs most, its count lanes and its labels or
+    # four gap temporaries
     code_bytes = sum(code.itemsize for code in codes)
     scheme_bytes = max(labels.s_eff * count.itemsize
                        + max(codes[c].itemsize, 4 * _gap_type(labels).itemsize)
                        for labels, count, (c, _) in zip(live, count_types, fields))
-    cell_bytes = max(8 + 2 * code_bytes, code_bytes + scheme_bytes)
+    cell_bytes = max(8 + max(key.itemsize, 2 * code_bytes), code_bytes + scheme_bytes)
     for lo, hi in _column_blocks(p, _FKS_BUDGET_BYTES * _BLOCK_CELLS // (n * cell_bytes)):
-        order = np.argsort(ranked[lo:hi], axis=1, kind="stable")
-        # block[c][t, j]: code c of the row at column j's sorted position t
-        block = [np.ascontiguousarray(code[order].T) for code in codes]
-        del order
-        tied, starts = tie_starts(ranked[lo:hi])
-        # on tied columns only a tie run's last position holds the ECDF there
+        keys = np.left_shift(ranked[lo:hi], key.type(bits), dtype=key)
+        keys |= rows
+        keys.sort(axis=1)
+        order = np.empty(keys.shape, dtype=np.intp)
+        np.bitwise_and(keys, key.type(tag), out=order, casting="unsafe")
+        # a column's ranks sum to n (n - 1) / 2 less the pairs it ties; on
+        # tied columns only a tie run's last position holds the ECDF there
+        tied = np.flatnonzero(ranked[lo:hi].sum(axis=1, dtype=np.int64) < total)
+        starts = keys[tied] >> key.type(bits)
+        del keys
         inside_run = np.zeros(starts.shape, dtype=bool)
         np.equal(starts[:, 1:], starts[:, :-1], out=inside_run[:, :-1])
         del starts
+        # block[c][t, j]: code c of the row at column j's sorted position t
+        block = [np.ascontiguousarray(code[order].T) for code in codes]
+        del order
         for labels, count, (c, shift) in zip(live, count_types, fields):
             out[lo:hi] += _widest_ecdf_gap(block[c], shift, tied, inside_run, labels, count)
         del block, inside_run  # before the next block allocates its own

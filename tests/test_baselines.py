@@ -30,10 +30,11 @@ from fmvscreen.baselines import (
     _gap_type,
     _packed_codes,
     _running_counts,
+    _widest_ecdf_gap,
     kendall_score_bruteforce,
 )
-from fmvscreen.mv import ranked_columns
-from fmvscreen.screening import labels_for_schemes
+from fmvscreen.mv import ranked_columns, tie_starts
+from fmvscreen.screening import _resolve_schemes, labels_for_schemes
 
 
 def test_pearson_perfect_and_anticorrelated() -> None:
@@ -267,6 +268,72 @@ def test_fks_matches_oracle_at_dtype_edges(n, schemes) -> None:
         assert alone.tobytes() == scores.tobytes()
 
 
+def fks_stable_argsort(x, y, kind, schemes) -> np.ndarray:
+    """fks over all columns at once, each column ordered by a stable argsort
+    of its ranks and its tie runs taken from ``mv.tie_starts``: the order
+    that fks's row-tagged keys must reproduce."""
+    ranked = ranked_columns(x)
+    schemes = _resolve_schemes(schemes, kind, x.shape[0])
+    live = [lab for lab in labels_for_schemes(y, kind, schemes) if lab is not None]
+    codes, fields = _packed_codes(live)
+    order = np.argsort(ranked, axis=1, kind="stable")
+    tied, starts = tie_starts(ranked)
+    inside_run = np.zeros(starts.shape, dtype=bool)
+    inside_run[:, :-1] = starts[:, 1:] == starts[:, :-1]
+    out = np.zeros(x.shape[1])
+    for labels, (c, shift) in zip(live, fields):
+        count = np.min_scalar_type(labels.counts.max())
+        block = np.ascontiguousarray(codes[c][order].T)
+        out += _widest_ecdf_gap(block, shift, tied, inside_run, labels, count)
+    return out
+
+
+# slice sizes whose lcm passes the exact bound (2**50) in 244 rows
+_PAST_LCM_SIZES = [5, 7, 3, 11, 13, 8, 17, 19, 23, 29, 31, 37, 41]
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257])
+@pytest.mark.parametrize("one_column_blocks", [False, True])
+def test_fks_tagged_order_at_the_key_dtype_edges(monkeypatch, n, one_column_blocks) -> None:
+    # fks orders a block by sorting (rank << b) | row, b = bit_length(n - 1),
+    # in two bytes up to n = 256, where (255 << 8) | 255 is the last key,
+    # and four above; the scores must match a stable argsort of the ranks
+    # bit for bit
+    rng = np.random.default_rng(n + 60)
+    x = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         rng.choice([-0.0, 0.0, 1.0], size=n), np.full(n, -0.0),
+                         rng.integers(0, 3, size=n).astype(float)])
+    y_cont = x[:, 0] + rng.normal(size=n)
+    cases = [(y_cont, ResponseKind.CONTINUOUS, [2] if n == 2 else [2, 3]),
+             (rng.integers(0, min(n, 4), size=n).astype(float), ResponseKind.CATEGORICAL, None)]
+    if n > sum(_PAST_LCM_SIZES):
+        pad = n - sum(_PAST_LCM_SIZES)
+        sizes = _PAST_LCM_SIZES + [2] * (pad // 2 - pad % 2) + [3] * (pad % 2)
+        y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).astype(float)
+        assert _gap_type(labels_for_schemes(y, ResponseKind.CATEGORICAL, None)[0]) == np.float64
+        cases.append((y, ResponseKind.CATEGORICAL, None))
+    if one_column_blocks:
+        monkeypatch.setattr(fmvscreen.baselines, "_BLOCK_CELLS", 1)
+    for y, kind, schemes in cases:
+        scores = fks_scores(x, y, kind, schemes)
+        assert scores.tobytes() == fks_stable_argsort(x, y, kind, schemes).tobytes()
+        labels_list = labels_for_schemes(y, kind, _resolve_schemes(schemes, kind, n))
+        for j in range(x.shape[1]):
+            assert abs(scores[j] - fks_oracle(x[:, j], labels_list)) <= 1e-12
+        assert scores[3] == 0.0
+
+
+@pytest.mark.parametrize("n", [65536, 65537])
+def test_fks_tagged_order_at_the_eight_byte_key_edge(n) -> None:
+    # (65535 << 16) | 65535 is the last four-byte key; one more row takes
+    # eight-byte keys (too many rows for the pairwise oracle)
+    rng = np.random.default_rng(n)
+    x = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1)])
+    y = x[:, 0] + rng.normal(size=n)
+    scores = fks_scores(x, y, ResponseKind.CONTINUOUS, [3, 4])
+    assert scores.tobytes() == fks_stable_argsort(x, y, ResponseKind.CONTINUOUS, [3, 4]).tobytes()
+
+
 def test_fks_packs_each_scheme_into_a_code_of_at_most_64_bits() -> None:
     # bit_length(s_eff - 1) bits a scheme: 10 for schemes 3-6, 16 for 3-8,
     # and 182 for the default schemes 3-41 at n = 65535
@@ -450,8 +517,9 @@ def test_view_and_fks_memory_stays_flat_in_p() -> None:
     # 2**16 cells and fks through blocks of its byte budget, so their peaks
     # above the 8 B/cell input stay near the 1 B/cell of the ranks;
     # whole-matrix temporaries would take 17-19 B/cell (tracemalloc,
-    # numpy 2.4: 1.21, 1.7 and 0.7 B/cell; the view took 1.31 while each
-    # block held a float copy and an int64 argsort order)
+    # numpy 2.4: 1.21, 1.4 and 0.4 B/cell; the view took 1.31 while each
+    # block held a float copy and an int64 argsort order, and fks 1.7 and
+    # 0.7 in 3 MiB blocks)
     rng = np.random.default_rng(48)
     n, p = 200, 20000
     x = rng.normal(size=(n, p))
@@ -496,11 +564,11 @@ def test_sis_memory_stays_flat_in_p() -> None:
 
 def test_view_and_fks_memory_at_design_7_shape() -> None:
     # 400 x 1000 with the default schemes 3-8: the view build's blocks are
-    # a seventh of the matrix, and fks's 3 MiB block cells hold a two-byte
+    # a seventh of the matrix, and fks's 1.5 MiB block cells hold a two-byte
     # packed code through the scheme loop (tracemalloc, numpy 2.4: 4.08 and
-    # 5.2 B/cell above x); the view took 4.92 while each block held a float
+    # 3.14 B/cell above x); the view took 4.92 while each block held a float
     # copy and an int64 argsort order, and blocks of a quarter of the matrix
-    # and fks's 6 MiB blocks took 6.85 and 7.65
+    # took 6.85; fks's 3 MiB and 6 MiB blocks took 5.14 and 7.65
     rng = np.random.default_rng(51)
     n, p = 400, 1000
     x = rng.normal(size=(n, p))
@@ -518,7 +586,7 @@ def test_view_and_fks_memory_at_design_7_shape() -> None:
     scores, fks_peak = peak_per_cell(lambda: fks_scores(x, y, ranked=ranked))
     assert scores.tobytes() == fks_scores(x, y).tobytes()
     assert view_peak < 4.3
-    assert fks_peak < 6.0
+    assert fks_peak < 3.4
 
 
 def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> None:
