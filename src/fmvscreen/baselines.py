@@ -175,16 +175,23 @@ def kendall_score_bruteforce(x, y) -> float:
 # gaps 1/lcm apart stay further apart than float rounding can close, up to
 # 3 * 2**-54 on each
 _EXACT_LCM = 1 << 50
-# fks's block budget in bytes per ``_BLOCK_CELLS`` cell, 1.5 MiB a block, so
-# that a block's count lanes and gap temporaries stay inside a 2 MiB per-core
-# L2 cache. Its count scan (``_running_counts``) pays about 2 sqrt(n) numpy
-# calls per scheme per block, so the blocks stay wider than the kernel's.
-# Measured in one process (numpy 2.4, Xeon 2.1 GHz, view passed, medians of
-# 21 rounds): against 3 MiB blocks, 1.5 MiB cut fks's peak above x on a
-# 400 x 1000 matrix 5.1 -> 3.1 B/cell for 13.7 -> 15.5 ms, and on 200 x 3000
-# 3.6 -> 2.1 B/cell at no cost (15.2 -> 14.3 ms); the kernel's width, 7
-# blocks of 400 x 1000 against 5, took 18.5 ms
-_FKS_BUDGET_BYTES = 24
+# fks's block budget in bytes per ``_BLOCK_CELLS`` cell, 896 KiB a block, so
+# that a block's count lanes and gap temporaries stay well inside a 2 MiB
+# per-core L2 cache and designs 1a and 7 (200 x 3000 and 400 x 1000, the
+# default schemes) run blocks no wider than the kernel's: 300 and 143
+# columns. A block's count scan takes O(log n) numpy calls a scheme
+# (``_running_counts``), but about 2 n s_eff row adds of p cells, so time
+# still grows with the block count. Measured in one process (numpy 2.4,
+# Xeon 2.1 GHz, view passed, medians of 21 rounds, one instance each):
+# against 1.5 MiB blocks of the previous layout, fks's peak above x and the
+# view on 400 x 1000 fell 3.14 -> 2.29 B/cell for 20.8 -> 20.0 ms, and on
+# 200 x 3000 2.10 -> 1.50 B/cell for 18.9 -> 17.2 ms; with caches cold
+# before each call these read 18.7 -> 20.0 and 15.9 -> 16.7 ms, while in
+# another cold run this code at 1.5 MiB beat the parent, 16.4 -> 15.2 and
+# 16.1 -> 14.0 ms
+_FKS_BUDGET_BYTES = 14
+# rows a chunk of ``_running_counts``' scan
+_SCAN_CHUNK = 8
 
 
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
@@ -193,23 +200,24 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     conditional ECDFs of a column, summed over schemes.
 
     Cost: one column sort for x's ranked view (``mv.ranked_columns``; none
-    when ``ranked`` passes it already built), then per column block one
-    in-place sort of row-tagged keys (rank << b) | row, b = bit_length(n - 1),
-    in the smallest unsigned dtype that holds them (two bytes up to n = 256,
-    four up to 65536, eight beyond). Ranks are integers and ties break by
-    row, so the order is the ranks' stable argsort: the low b bits give each
-    sorted position's row, and the bits above give the tied columns' run
-    starts. Then one gather of each packed slice code (``_packed_codes``)
-    through that order, shared by all schemes, and per scheme
+    when ``ranked`` passes it already built), then per column block and
+    packed slice code (``_packed_codes``: every scheme's labels in one code
+    while they fit) one in-place sort of keys (rank << c) | code, c the
+    code's bit width, in the smallest unsigned dtype that holds them. The
+    codes are capped at 64 - bit_length(n - 1) bits, so a key always fits.
+    The sort orders each column by rank and a tie run by code; only a tie
+    run's last position is read, so that order within a run changes no
+    score. The low c bits then give each sorted position's code, and the
+    bits above its run start, which flag the tied columns' positions inside
+    a run. One transposing cast copies the codes out, and per scheme
     O(p * n * s_eff) small-integer adds and maxima in exact integers
-    (``_widest_ecdf_gap``), the counts summed in about 2 sqrt(n) numpy calls
-    a block. Memory: the columns go through blocks of at most
-    ``_FKS_BUDGET_BYTES`` * ``mv._BLOCK_CELLS`` bytes (1.5 MiB). A block cell
-    holds, at its fullest, either its 8-byte sort order beside its key or
-    its codes gathered and transposed, or the codes and, for the scheme that
-    needs most, s_eff count-bytes (two per lane past 255 entries a slice),
-    its labels and four temporaries of ``_gap_type``. No temporary grows
-    with p.
+    (``_widest_ecdf_gap``), the counts summed in O(log n) numpy calls a
+    block. Memory: the columns go through blocks of at most
+    ``_FKS_BUDGET_BYTES`` * ``mv._BLOCK_CELLS`` bytes (896 KiB). A block
+    cell holds a byte of tie-run flags and, at its fullest, either a code's
+    sorted keys beside the tied columns' copy of them or its sorted codes,
+    or those codes with ``_scheme_bytes`` for the scheme that needs most.
+    No temporary grows with p.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -222,56 +230,56 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
         return out
     if ranked is None:
         ranked = ranked_columns(x)
-    codes, fields = _packed_codes(live)
-    count_types = [np.min_scalar_type(labels.counts.max()) for labels in live]
-    # each block is ordered by one sort of row-tagged keys (rank << bits) | row:
-    # ranks are integers and ties break by row, as in a stable argsort
     bits = (n - 1).bit_length()
-    tag = (1 << bits) - 1
-    key = np.min_scalar_type(((n - 1) << bits) | tag)
-    rows = np.arange(n, dtype=key)
+    codes, widths, fields = _packed_codes(live, 64 - bits)
+    keys = [np.min_scalar_type(((n - 1) << width) | ((1 << width) - 1)) for width in widths]
+    count_types = [np.min_scalar_type(labels.counts.max()) for labels in live]
     total = n * (n - 1) // 2
-    # a block cell's bytes at their most: the 8-byte sort order beside its
-    # tagged key, or while a code is gathered and transposed, or the codes
-    # with, for the scheme that needs most, its count lanes and its labels or
-    # four gap temporaries
-    code_bytes = sum(code.itemsize for code in codes)
-    scheme_bytes = max(labels.s_eff * count.itemsize
-                       + max(codes[c].itemsize, 4 * _gap_type(labels).itemsize)
-                       for labels, count, (c, _) in zip(live, count_types, fields))
-    cell_bytes = max(8 + max(key.itemsize, 2 * code_bytes), code_bytes + scheme_bytes)
+    # a block cell's bytes at their most, beside a byte of tie-run flags: a
+    # code's sorted keys with the tied columns' copy of them or with its
+    # sorted codes, or a scheme's gap search
+    cell_bytes = 1 + max([2 * key.itemsize for key in keys]
+                         + [_scheme_bytes(labels, count, codes[c].dtype)
+                            for labels, count, (c, _) in zip(live, count_types, fields)])
     for lo, hi in _column_blocks(p, _FKS_BUDGET_BYTES * _BLOCK_CELLS // (n * cell_bytes)):
-        keys = np.left_shift(ranked[lo:hi], key.type(bits), dtype=key)
-        keys |= rows
-        keys.sort(axis=1)
-        order = np.empty(keys.shape, dtype=np.intp)
-        np.bitwise_and(keys, key.type(tag), out=order, casting="unsafe")
         # a column's ranks sum to n (n - 1) / 2 less the pairs it ties; on
         # tied columns only a tie run's last position holds the ECDF there
         tied = np.flatnonzero(ranked[lo:hi].sum(axis=1, dtype=np.int64) < total)
-        starts = keys[tied] >> key.type(bits)
-        del keys
-        inside_run = np.zeros(starts.shape, dtype=bool)
-        np.equal(starts[:, 1:], starts[:, :-1], out=inside_run[:, :-1])
-        del starts
-        # block[c][t, j]: code c of the row at column j's sorted position t
-        block = [np.ascontiguousarray(code[order].T) for code in codes]
-        del order
-        for labels, count, (c, shift) in zip(live, count_types, fields):
-            out[lo:hi] += _widest_ecdf_gap(block[c], shift, tied, inside_run, labels, count)
-        del block, inside_run  # before the next block allocates its own
+        inside_run = None
+        for c, (code, width, key) in enumerate(zip(codes, widths, keys)):
+            block = np.left_shift(ranked[lo:hi], key.type(width), dtype=key)
+            block |= code
+            block.sort(axis=1)
+            if inside_run is None:
+                # sorted position t + 1 continues t's run when its run
+                # starts at or before t, so when its key is below (t + 1) << c
+                inside_run = np.zeros((tied.size, n), dtype=bool)
+                np.less(block[tied, 1:], np.arange(1, n, dtype=key) << key.type(width),
+                        out=inside_run[:, :-1])
+            # sorted_codes[t, j]: the code at column j's sorted position t,
+            # under any run-start bits the cast keeps, which no field reads
+            sorted_codes = np.empty((n, hi - lo), dtype=code.dtype)
+            np.copyto(sorted_codes, block.T, casting="unsafe")
+            del block
+            for labels, count, (of, shift) in zip(live, count_types, fields):
+                if of == c:
+                    out[lo:hi] += _widest_ecdf_gap(sorted_codes, shift, tied, inside_run,
+                                                   labels, count)
+            del sorted_codes
+        del inside_run  # before the next block allocates its own
     return out
 
 
-def _packed_codes(live) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
-    """Every slicing's labels g - 1 packed into per-row codes of at most 64
-    bits, ``bit_length(s_eff - 1)`` bits a slicing, filled greedily in order,
-    each code in the smallest unsigned dtype that holds its bits; and for
-    each slicing, the index of its code and its field's shift there."""
+def _packed_codes(live, room: int) -> tuple[list[np.ndarray], list[int], list[tuple[int, int]]]:
+    """Every slicing's labels g - 1 packed into per-row codes of at most
+    ``room`` bits, ``bit_length(s_eff - 1)`` bits a slicing, filled greedily
+    in order, each code in the smallest unsigned dtype that holds its bits;
+    the codes' bit widths; and for each slicing, the index of its code and
+    its field's shift there."""
     fields, used = [], []
     for labels in live:
         width = int(labels.s_eff - 1).bit_length()
-        if not used or used[-1] + width > 64:
+        if not used or used[-1] + width > room:
             used.append(0)
         fields.append((len(used) - 1, used[-1]))
         used[-1] += width
@@ -279,11 +287,27 @@ def _packed_codes(live) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
     for labels, (c, shift) in zip(live, fields):
         code = codes[c]
         code |= (labels.g - 1).astype(code.dtype) << code.dtype.type(shift)
-    return codes, fields
+    return codes, used, fields
+
+
+def _scheme_bytes(labels: SliceLabels, count: np.dtype, code: np.dtype) -> int:
+    """``_widest_ecdf_gap``'s bytes a block cell for a slicing at their
+    most, with its sorted codes: its s_eff count lanes beside its labels or
+    its gap temporaries (the running largest and smallest, and a scaled
+    lane unless every slice has one size), or, once the lanes are freed,
+    four gap temporaries."""
+    value = _gap_type(labels).itemsize
+    temporaries = 2 if _equal_sizes(labels) else 3
+    lanes = labels.s_eff * count.itemsize + max(code.itemsize, temporaries * value)
+    return code.itemsize + max(lanes, 4 * value)
 
 
 def _size_lcm(labels: SliceLabels) -> int:
     return math.lcm(*(int(size) for size in labels.counts))
+
+
+def _equal_sizes(labels: SliceLabels) -> bool:
+    return labels.counts.min() == labels.counts.max()
 
 
 def _gap_type(labels: SliceLabels) -> np.dtype:
@@ -322,43 +346,50 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
     distinct slice sizes reaches, the counts are divided by their sizes in
     float64 and every position's float gap is taken, as the definition does.
 
-    Cost: O(n * p * s_eff) small-integer operations, the running counts in
-    about 2 sqrt(n) numpy calls (``_running_counts``), and two divisions per
-    position at a column's widest exact gap. Memory per block cell: s_eff
-    count lanes with the labels in the code's dtype, then three temporaries
-    of ``_gap_type``, and four with a byte of mask once the lanes are freed.
+    Each slice's counts are one lane, an (n, p) array of its own, so the
+    indicator, the scaling and the folds each run over whole lanes, and the
+    running counts sum every lane at once (``_running_counts``). A slicing
+    whose slices all have one size L skips the scaling: its counts are
+    already h. Cost: O(n * p * s_eff) small-integer operations in
+    O(s_eff + log n) numpy calls, and two divisions per position at a
+    column's widest exact gap. Memory per block cell: ``_scheme_bytes``.
     """
     # (n, p) slice labels g - 1 in each column's sorted order, left in their
     # field of the code: (g - 1) << shift
     field = ((1 << int(labels.s_eff - 1).bit_length()) - 1) << shift
     gs = np.bitwise_and(code, code.dtype.type(field))
     n, p = gs.shape
-    # counts[t, k, j]: entries of slice k + 1 among column j's first t + 1
+    # counts[k, t, j]: entries of slice k + 1 among column j's first t + 1
     # sorted entries; one-byte counts take the indicator as bools, uncast
-    counts = np.empty((n, labels.s_eff, p), dtype=count)
+    counts = np.empty((labels.s_eff, n, p), dtype=count)
     slices = np.arange(labels.s_eff, dtype=code.dtype) << code.dtype.type(shift)
-    np.equal(gs[:, None, :], slices[:, None],
+    np.equal(gs, slices[:, None, None],
              out=counts.view(bool) if counts.itemsize == 1 else counts)
     del gs
-    _running_counts(counts)
+    _running_counts(counts.transpose(1, 0, 2))
 
     lcm = _size_lcm(labels)
     value = _gap_type(labels)
     exact = value.kind == "u"
-    # 0 and L (1 in floats) bound every scaled count, so they start the
-    # running largest and smallest
-    hi = np.zeros((n, p), dtype=value)
-    lo = np.full((n, p), lcm if exact else 1, dtype=value)
-    scaled = np.empty((n, p), dtype=value)
+    # equal sizes leave the counts as their own scaled counts, in their
+    # dtype; 0 and L (1 in floats) bound every scaled count, so the first
+    # lane starts the running largest and smallest
+    scaled = None if _equal_sizes(labels) else np.empty((n, p), dtype=value)
     for k, size in enumerate(labels.counts.tolist()):
         # c / size as the integer c * (L / size) over L, or in floats past
         # the bound
-        if exact:
-            np.multiply(counts[:, k], value.type(lcm // size), out=scaled, dtype=value)
+        lane = counts[k]
+        if scaled is not None:
+            if exact:
+                np.multiply(lane, value.type(lcm // size), out=scaled, dtype=value)
+            else:
+                np.divide(lane, size, out=scaled)
+            lane = scaled
+        if k == 0:
+            hi, lo = lane.copy(), lane.copy()
         else:
-            np.divide(counts[:, k], size, out=scaled)
-        np.maximum(hi, scaled, out=hi)
-        np.minimum(lo, scaled, out=lo)
+            np.maximum(hi, lane, out=hi)
+            np.minimum(lo, lane, out=lo)
     del counts, scaled
     gap = np.subtract(hi, lo, out=hi)
     if tied.size:
@@ -378,23 +409,27 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
 
 def _running_counts(counts: np.ndarray) -> None:
     """``counts`` summed along its first axis in place, as ``np.cumsum(axis=0)``
-    in its own dtype, in about 2 sqrt(n) adds of whole rows. With q = isqrt(n)
-    and m = n // q, the first m q rows are m chunks of q rows: the q - 1 adds
-    within a chunk run over every chunk at once, each chunk's last row is then
-    added into the next chunk, and the fewer than q rows left run one by one.
-    Every partial sum counts one slice's entries among some positions, so no
-    add can overflow a dtype that holds the slice sizes, and the integer sums
-    are the same whatever their order.
+    in its own dtype, in O(log n) numpy calls of whole rows: about 23 at
+    n = 400 and 19 at n = 200. With m = n // 8, the first 8 m rows are m
+    chunks of 8 rows. 7 adds run within every chunk at once; the chunks'
+    last rows, now their totals, are summed the same way, recursively; one
+    broadcast add then adds each into the next chunk's other rows. The
+    fewer than 8 rows left run one by one, as does all of an n below 16.
+    ``counts`` may be any strided view: splitting its first axis into
+    chunks never copies. Every partial sum counts one slice's entries among
+    some positions, so no add can overflow a dtype that holds the slice
+    sizes, and the integer sums are the same whatever their order.
     """
     n = counts.shape[0]
-    q = math.isqrt(n)
-    m = n // q
-    chunks = counts[:m * q].reshape(m, q, *counts.shape[1:])
-    for t in range(1, q):
-        np.add(chunks[:, t - 1], chunks[:, t], out=chunks[:, t])
-    for c in range(1, m):
-        np.add(chunks[c - 1, -1], chunks[c], out=chunks[c])
-    for t in range(m * q, n):
+    m = n // _SCAN_CHUNK if n >= 2 * _SCAN_CHUNK else 0
+    if m:
+        chunks = counts[:m * _SCAN_CHUNK].reshape(m, _SCAN_CHUNK, *counts.shape[1:])
+        for t in range(1, _SCAN_CHUNK):
+            np.add(chunks[:, t - 1], chunks[:, t], out=chunks[:, t])
+        ends = chunks[:, -1]
+        _running_counts(ends)
+        np.add(chunks[1:, :-1], ends[:-1, None], out=chunks[1:, :-1])
+    for t in range(max(1, m * _SCAN_CHUNK), n):
         np.add(counts[t - 1], counts[t], out=counts[t])
 
 

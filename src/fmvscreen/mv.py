@@ -24,17 +24,17 @@ Each slice's square sum is then
 derived at ``mv_hat_columns_multi``, where b_k is entry k's rank. Per
 scheme the kernel sorts one small unsigned key per cell, so it costs
 O(p * n log n * (1 + schemes)).
-Two baselines read the same view. fks orders each column block with one
-in-place sort of row-tagged keys, (rank << b) | row with b = bit_length(n - 1),
-which gives each sorted position's row and, on tied columns, its run start,
-and gathers every scheme's slice labels through that order once, packed into
-per-row codes of at most 64 bits. It then drops the order and, per scheme,
-accumulates every slice's cumulative counts at once in about 2 sqrt(n) adds
-of whole rows, S count-bytes per cell (S = s_eff, one byte per lane while
-slices hold at most 255 entries), and finds each column's widest ECDF gap in
-exact integers, with floats only at that gap, so O(p * n * sum s_eff)
-small-integer operations. rcs (Kendall) compares the ranks themselves,
-and counts the pairs tied in x from their sums.
+Two baselines read the same view. fks packs every scheme's slice labels
+into per-row codes of at most 64 - bit_length(n - 1) bits, and orders each
+column block, per code, with one in-place sort of rank-tagged keys
+(rank << c) | code, c the code's bits: the low bits give each sorted
+position's code and the bits above, on tied columns, its run start. Per
+scheme it then accumulates every slice's cumulative counts at once in
+O(log n) adds of whole rows, S count-bytes per cell (S = s_eff, one byte per
+lane while slices hold at most 255 entries), and finds each column's widest
+ECDF gap in exact integers, with floats only at that gap, so
+O(p * n * sum s_eff) small-integer operations. rcs (Kendall) compares the
+ranks themselves, and counts the pairs tied in x from their sums.
 ``tie_starts`` picks out the tied columns and their sorted ranks for the
 kernel. A caller that scores one matrix several ways
 builds the view once and passes it as ``ranked=``; the column sort is then

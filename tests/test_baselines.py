@@ -270,12 +270,13 @@ def test_fks_matches_oracle_at_dtype_edges(n, schemes) -> None:
 
 def fks_stable_argsort(x, y, kind, schemes) -> np.ndarray:
     """fks over all columns at once, each column ordered by a stable argsort
-    of its ranks and its tie runs taken from ``mv.tie_starts``: the order
-    that fks's row-tagged keys must reproduce."""
+    of its ranks and its tie runs taken from ``mv.tie_starts``: an order
+    that fks's sort of (rank << c) | code keys must match at every tie
+    run's end."""
     ranked = ranked_columns(x)
     schemes = _resolve_schemes(schemes, kind, x.shape[0])
     live = [lab for lab in labels_for_schemes(y, kind, schemes) if lab is not None]
-    codes, fields = _packed_codes(live)
+    codes, _, fields = _packed_codes(live, 64)
     order = np.argsort(ranked, axis=1, kind="stable")
     tied, starts = tie_starts(ranked)
     inside_run = np.zeros(starts.shape, dtype=bool)
@@ -288,24 +289,52 @@ def fks_stable_argsort(x, y, kind, schemes) -> np.ndarray:
     return out
 
 
+def key_bits(n: int, y, kind, schemes) -> list[int]:
+    """The bits of fks's sort keys, bit_length(n - 1) rank bits above each
+    packed code's."""
+    live = [lab for lab in labels_for_schemes(y, kind, schemes) if lab is not None]
+    bits = (n - 1).bit_length()
+    return [bits + width for width in _packed_codes(live, 64 - bits)[1]]
+
+
 # slice sizes whose lcm passes the exact bound (2**50) in 244 rows
 _PAST_LCM_SIZES = [5, 7, 3, 11, 13, 8, 17, 19, 23, 29, 31, 37, 41]
 
 
-@pytest.mark.parametrize("n", [2, 3, 255, 256, 257])
+# per row count, schemes and the bits of their sort keys: rank bits plus
+# code bits at each side of 8, 16, 32 and 64, where the keys take one, two,
+# four and eight bytes and, past 64, the codes split; n = 255 and 256 also
+# straddle the view's one- and two-byte ranks
+_KEY_EDGES = {
+    2: [([2], [2])],
+    3: [([2, 3], [5])],
+    32: [([2, 3], [8])],
+    33: [([2, 3], [9])],
+    64: [([3, 4, 5, 6], [16])],
+    65: [([3, 4, 5, 6], [17])],
+    255: [(list(range(3, 11)), [32]), ([*range(2, 17), 65], [64])],
+    256: [(list(range(3, 11)), [32]), ([*range(2, 17), 65], [64])],
+    257: [(list(range(3, 11)), [33]), ([*range(2, 17), 65], [58, 16])],
+}
+
+
+@pytest.mark.parametrize("n", list(_KEY_EDGES))
 @pytest.mark.parametrize("one_column_blocks", [False, True])
 def test_fks_tagged_order_at_the_key_dtype_edges(monkeypatch, n, one_column_blocks) -> None:
-    # fks orders a block by sorting (rank << b) | row, b = bit_length(n - 1),
-    # in two bytes up to n = 256, where (255 << 8) | 255 is the last key,
-    # and four above; the scores must match a stable argsort of the ranks
-    # bit for bit
+    # fks orders a block by sorting rank-tagged codes (rank << c) | code in
+    # the smallest unsigned dtype that holds them; whatever that dtype, and
+    # however the codes split, the scores must match a stable argsort of
+    # the ranks bit for bit
     rng = np.random.default_rng(n + 60)
     x = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
                          rng.choice([-0.0, 0.0, 1.0], size=n), np.full(n, -0.0),
                          rng.integers(0, 3, size=n).astype(float)])
     y_cont = x[:, 0] + rng.normal(size=n)
-    cases = [(y_cont, ResponseKind.CONTINUOUS, [2] if n == 2 else [2, 3]),
-             (rng.integers(0, min(n, 4), size=n).astype(float), ResponseKind.CATEGORICAL, None)]
+    cases = []
+    for schemes, bits in _KEY_EDGES[n]:
+        assert key_bits(n, y_cont, ResponseKind.CONTINUOUS, schemes) == bits
+        cases.append((y_cont, ResponseKind.CONTINUOUS, schemes))
+    cases.append((rng.integers(0, min(n, 4), size=n).astype(float), ResponseKind.CATEGORICAL, None))
     if n > sum(_PAST_LCM_SIZES):
         pad = n - sum(_PAST_LCM_SIZES)
         sizes = _PAST_LCM_SIZES + [2] * (pad // 2 - pad % 2) + [3] * (pad % 2)
@@ -325,25 +354,31 @@ def test_fks_tagged_order_at_the_key_dtype_edges(monkeypatch, n, one_column_bloc
 
 @pytest.mark.parametrize("n", [65536, 65537])
 def test_fks_tagged_order_at_the_eight_byte_key_edge(n) -> None:
-    # (65535 << 16) | 65535 is the last four-byte key; one more row takes
-    # eight-byte keys (too many rows for the pairwise oracle)
+    # 16 rank bits and the 16 code bits of schemes 3-8 make the last
+    # four-byte keys; one more row takes eight-byte keys (too many rows for
+    # the pairwise oracle)
     rng = np.random.default_rng(n)
     x = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1)])
     y = x[:, 0] + rng.normal(size=n)
-    scores = fks_scores(x, y, ResponseKind.CONTINUOUS, [3, 4])
-    assert scores.tobytes() == fks_stable_argsort(x, y, ResponseKind.CONTINUOUS, [3, 4]).tobytes()
+    schemes = [3, 4, 5, 6, 7, 8]
+    assert key_bits(n, y, ResponseKind.CONTINUOUS, schemes) == [32 if n == 65536 else 33]
+    scores = fks_scores(x, y, ResponseKind.CONTINUOUS, schemes)
+    assert scores.tobytes() == fks_stable_argsort(x, y, ResponseKind.CONTINUOUS, schemes).tobytes()
 
 
 def test_fks_packs_each_scheme_into_a_code_of_at_most_64_bits() -> None:
-    # bit_length(s_eff - 1) bits a scheme: 10 for schemes 3-6, 16 for 3-8,
-    # and 182 for the default schemes 3-41 at n = 65535
+    # bit_length(s_eff - 1) bits a scheme, and at most 64 - bit_length(n - 1)
+    # bits a code, so that a key (rank << c) | code fits 64 bits: 10 bits
+    # for schemes 3-6 and 16 for 3-8 fit one code, and the default schemes
+    # 3-41 at n = 65535 take 182 bits in four codes of at most 48 (three
+    # codes of 64 would hold them, but leave the rank no room)
     rng = np.random.default_rng(50)
-    for n, dtypes in ((200, [np.uint16]), (400, [np.uint16]),
-                      (65535, [np.uint64, np.uint64, np.uint64])):
+    for n, widths in ((200, [10]), (400, [16]), (65535, [48, 45, 47, 42])):
         y = rng.normal(size=n)
         live = labels_for_schemes(y, ResponseKind.CONTINUOUS, default_schemes(n))
-        codes, fields = _packed_codes(live)
-        assert [code.dtype for code in codes] == dtypes
+        codes, used, fields = _packed_codes(live, 64 - (n - 1).bit_length())
+        assert used == widths
+        assert [code.dtype for code in codes] == [np.min_scalar_type((1 << w) - 1) for w in widths]
         for labels, (c, shift) in zip(live, fields):
             mask = (1 << int(labels.s_eff - 1).bit_length()) - 1
             assert np.array_equal((codes[c] >> shift) & mask, labels.g - 1)
@@ -465,17 +500,26 @@ def test_fks_count_memory_stays_within_budget(monkeypatch) -> None:
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 @pytest.mark.parametrize("s_eff", [2, 5])
 def test_running_counts_equal_cumsum(dtype, s_eff) -> None:
-    # n = 1..70 takes in n < 4 (chunks of one row), perfect squares (no rows
-    # left over) and primes; each slice indicator is scaled so that a full
-    # column's count nears the dtype's top, where a wrap would show
+    # n = 1..70 takes in n < 16 (no chunks) and one level of chunks of 8
+    # with and without rows left over; 127-130, 1023-1026 and 1100 take the
+    # recursion's second and third levels in (at 128 and 1024 rows) and
+    # their leftover rows. Each slice's hits are scaled, and past the
+    # dtype's top thinned, so that a full column's count nears the top,
+    # where a wrap would show. fks passes the scan an (n, s_eff, p) view of
+    # (s_eff, n, p) lanes, so it runs on both layouts
     rng = np.random.default_rng(53)
-    for n in range(1, 71):
+    top = np.iinfo(dtype).max
+    for n in [*range(1, 71), 127, 128, 129, 130, 1023, 1024, 1025, 1026, 1100]:
         g = rng.integers(0, s_eff, size=(n, 9))
-        step = np.iinfo(dtype).max // n
-        counts = ((g[:, None, :] == np.arange(s_eff)[:, None]) * step).astype(dtype)
+        hits = g[:, None, :] == np.arange(s_eff)[:, None]
+        step = max(1, top // n)
+        hits &= np.cumsum(hits, axis=0) <= top // step
+        counts = (hits * step).astype(dtype)
         want = np.cumsum(counts, axis=0, dtype=dtype)
-        _running_counts(counts)
-        assert counts.dtype == dtype and counts.tobytes() == want.tobytes(), n
+        lanes = np.ascontiguousarray(counts.transpose(1, 0, 2))
+        for view in (counts, lanes.transpose(1, 0, 2)):
+            _running_counts(view)
+            assert view.dtype == dtype and view.tobytes() == want.tobytes(), n
 
 
 def test_fks_takes_the_widest_float_among_equal_exact_gaps() -> None:
@@ -517,9 +561,9 @@ def test_view_and_fks_memory_stays_flat_in_p() -> None:
     # 2**16 cells and fks through blocks of its byte budget, so their peaks
     # above the 8 B/cell input stay near the 1 B/cell of the ranks;
     # whole-matrix temporaries would take 17-19 B/cell (tracemalloc,
-    # numpy 2.4: 1.21, 1.4 and 0.4 B/cell; the view took 1.31 while each
+    # numpy 2.4: 1.20, 1.27 and 0.27 B/cell; the view took 1.31 while each
     # block held a float copy and an int64 argsort order, and fks 1.7 and
-    # 0.7 in 3 MiB blocks)
+    # 0.7 in 3 MiB blocks, 1.4 and 0.4 in 1.5 MiB blocks)
     rng = np.random.default_rng(48)
     n, p = 200, 20000
     x = rng.normal(size=(n, p))
@@ -564,11 +608,12 @@ def test_sis_memory_stays_flat_in_p() -> None:
 
 def test_view_and_fks_memory_at_design_7_shape() -> None:
     # 400 x 1000 with the default schemes 3-8: the view build's blocks are
-    # a seventh of the matrix, and fks's 1.5 MiB block cells hold a two-byte
-    # packed code through the scheme loop (tracemalloc, numpy 2.4: 4.08 and
-    # 3.14 B/cell above x); the view took 4.92 while each block held a float
-    # copy and an int64 argsort order, and blocks of a quarter of the matrix
-    # took 6.85; fks's 3 MiB and 6 MiB blocks took 5.14 and 7.65
+    # a seventh of the matrix, and so are fks's 896 KiB blocks, whose cells
+    # hold a two-byte packed code through the scheme loop (tracemalloc,
+    # numpy 2.4: 4.08 and 2.29 B/cell above x); the view took 4.92 while
+    # each block held a float copy and an int64 argsort order, and blocks
+    # of a quarter of the matrix took 6.85; fks's 1.5 MiB, 3 MiB and 6 MiB
+    # blocks took 3.14, 5.14 and 7.65
     rng = np.random.default_rng(51)
     n, p = 400, 1000
     x = rng.normal(size=(n, p))
@@ -586,7 +631,7 @@ def test_view_and_fks_memory_at_design_7_shape() -> None:
     scores, fks_peak = peak_per_cell(lambda: fks_scores(x, y, ranked=ranked))
     assert scores.tobytes() == fks_scores(x, y).tobytes()
     assert view_peak < 4.3
-    assert fks_peak < 3.4
+    assert fks_peak < 2.5
 
 
 def test_scorers_read_a_prepared_ranked_view_bit_identically(monkeypatch) -> None:
