@@ -179,19 +179,11 @@ _EXACT_LCM = 1 << 50
 # that a block's count lanes and gap temporaries stay well inside a 2 MiB
 # per-core L2 cache and designs 1a and 7 (200 x 3000 and 400 x 1000, the
 # default schemes) run blocks no wider than the kernel's: 300 and 143
-# columns. A block's count scan takes O(log n) numpy calls a scheme
-# (``_running_counts``), but about 2 n s_eff row adds of p cells, so time
-# still grows with the block count. Measured in one process (numpy 2.4,
-# Xeon 2.1 GHz, view passed, medians of 21 rounds, one instance each):
-# against 1.5 MiB blocks of the previous layout, fks's peak above x and the
-# view on 400 x 1000 fell 3.14 -> 2.29 B/cell for 20.8 -> 20.0 ms, and on
-# 200 x 3000 2.10 -> 1.50 B/cell for 18.9 -> 17.2 ms; with caches cold
-# before each call these read 18.7 -> 20.0 and 15.9 -> 16.7 ms, while in
-# another cold run this code at 1.5 MiB beat the parent, 16.4 -> 15.2 and
-# 16.1 -> 14.0 ms
+# columns. Per scheme a block's count scan (``_chunk_scan``) makes
+# (C - 1) + (m - 1) + 1 + (n - C m) numpy calls, C = isqrt(n) and
+# m = n // C, and runs about 3 sqrt(n) ufunc inner loops a lane, so its
+# time grows with the block count as well as with the cells
 _FKS_BUDGET_BYTES = 14
-# rows a chunk of ``_running_counts``' scan
-_SCAN_CHUNK = 8
 
 
 def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
@@ -209,15 +201,19 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     run's last position is read, so that order within a run changes no
     score. The low c bits then give each sorted position's code, and the
     bits above its run start, which flag the tied columns' positions inside
-    a run. One transposing cast copies the codes out, and per scheme
-    O(p * n * s_eff) small-integer adds and maxima in exact integers
-    (``_widest_ecdf_gap``), the counts summed in O(log n) numpy calls a
-    block. Memory: the columns go through blocks of at most
-    ``_FKS_BUDGET_BYTES`` * ``mv._BLOCK_CELLS`` bytes (896 KiB). A block
-    cell holds a byte of tie-run flags and, at its fullest, either a code's
-    sorted keys beside the tied columns' copy of them or its sorted codes,
-    or those codes with ``_scheme_bytes`` for the scheme that needs most.
-    No temporary grows with p.
+    a run. One transposing cast copies the codes out, in chunk order
+    (``_chunks``: each column's positions as C = isqrt(n) slabs of m = n // C
+    rows), as do the flags, and per scheme O(p * n * s_eff) small-integer
+    adds and maxima in exact integers (``_widest_ecdf_gap``), the counts
+    summed in (C - 1) + (m - 1) + 1 + (n - C m) numpy calls a block
+    (``_chunk_scan``). No step after the scan reads the positions' order.
+    Memory: the columns go through blocks of at most ``_FKS_BUDGET_BYTES`` *
+    ``mv._BLOCK_CELLS`` bytes (896 KiB). A block cell holds a byte of
+    tie-run flags and, at its fullest, either a code's sorted keys beside
+    the tied columns' copy of them (or, once that is freed, the flags' copy
+    in chunk order) or its sorted codes, or those codes with
+    ``_scheme_bytes`` for the scheme that needs most. No temporary grows
+    with p.
     """
     x = check_matrix(x)
     n, p = x.shape
@@ -253,13 +249,17 @@ def fks_scores(x: np.ndarray, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
             if inside_run is None:
                 # sorted position t + 1 continues t's run when its run
                 # starts at or before t, so when its key is below (t + 1) << c
-                inside_run = np.zeros((tied.size, n), dtype=bool)
+                flags = np.zeros((tied.size, n), dtype=bool)
                 np.less(block[tied, 1:], np.arange(1, n, dtype=key) << key.type(width),
-                        out=inside_run[:, :-1])
-            # sorted_codes[t, j]: the code at column j's sorted position t,
-            # under any run-start bits the cast keeps, which no field reads
+                        out=flags[:, :-1])
+                inside_run = np.empty_like(flags)
+                _chunk_ordered(inside_run.T, flags.T)
+                del flags
+            # the code at each column's sorted positions, in chunk order
+            # (``_chunks``), under any run-start bits the cast keeps, which
+            # no field reads
             sorted_codes = np.empty((n, hi - lo), dtype=code.dtype)
-            np.copyto(sorted_codes, block.T, casting="unsafe")
+            _chunk_ordered(sorted_codes, block.T)
             del block
             for labels, count, (of, shift) in zip(live, count_types, fields):
                 if of == c:
@@ -346,27 +346,33 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
     distinct slice sizes reaches, the counts are divided by their sizes in
     float64 and every position's float gap is taken, as the definition does.
 
-    Each slice's counts are one lane, an (n, p) array of its own, so the
-    indicator, the scaling and the folds each run over whole lanes, and the
-    running counts sum every lane at once (``_running_counts``). A slicing
-    whose slices all have one size L skips the scaling: its counts are
-    already h. Cost: O(n * p * s_eff) small-integer operations in
-    O(s_eff + log n) numpy calls, and two divisions per position at a
-    column's widest exact gap. Memory per block cell: ``_scheme_bytes``.
+    ``code`` and ``inside_run`` hold the positions in chunk order
+    (``_chunks``), and every step here but the count scan ignores that
+    order: the folds, the gap, the column maxima and the float refinement
+    at the widest gap each read a position by itself. Each slice's counts
+    are one lane, an (n, p) array of its own, so the indicator, the scaling
+    and the folds each run over whole lanes, and the running counts sum
+    every lane at once (``_chunk_scan``), mostly in adds of whole slabs of
+    m p cells. A slicing whose slices all have one size L skips the
+    scaling: its counts are already h. Cost: O(n * p * s_eff)
+    small-integer operations in O(s_eff + sqrt(n)) numpy calls, and two
+    divisions per position at a column's widest exact gap. Memory per block
+    cell: ``_scheme_bytes``.
     """
     # (n, p) slice labels g - 1 in each column's sorted order, left in their
     # field of the code: (g - 1) << shift
     field = ((1 << int(labels.s_eff - 1).bit_length()) - 1) << shift
     gs = np.bitwise_and(code, code.dtype.type(field))
     n, p = gs.shape
-    # counts[k, t, j]: entries of slice k + 1 among column j's first t + 1
-    # sorted entries; one-byte counts take the indicator as bools, uncast
+    # counts[k, row(t), j]: entries of slice k + 1 among column j's first
+    # t + 1 sorted entries, row(t) position t's row in chunk order; one-byte
+    # counts take the indicator as bools, uncast
     counts = np.empty((labels.s_eff, n, p), dtype=count)
     slices = np.arange(labels.s_eff, dtype=code.dtype) << code.dtype.type(shift)
     np.equal(gs, slices[:, None, None],
              out=counts.view(bool) if counts.itemsize == 1 else counts)
     del gs
-    _running_counts(counts.transpose(1, 0, 2))
+    _chunk_scan(counts)
 
     lcm = _size_lcm(labels)
     value = _gap_type(labels)
@@ -397,9 +403,9 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
     widest = gap.max(axis=0)
     if not exact:
         return widest
-    # every (position, column) at its column's widest exact gap
-    position, column = np.divmod(np.flatnonzero(gap == widest), p)
-    low = lo[position, column]
+    # every (row, column) at its column's widest exact gap
+    row, column = np.divmod(np.flatnonzero(gap == widest), p)
+    low = lo[row, column]
     f = np.divide(low + widest[column], float(lcm), dtype=np.float64)
     f -= np.divide(low, float(lcm), dtype=np.float64)
     out = np.zeros(p)
@@ -407,30 +413,57 @@ def _widest_ecdf_gap(code: np.ndarray, shift: int, tied: np.ndarray,
     return out
 
 
-def _running_counts(counts: np.ndarray) -> None:
-    """``counts`` summed along its first axis in place, as ``np.cumsum(axis=0)``
-    in its own dtype, in O(log n) numpy calls of whole rows: about 23 at
-    n = 400 and 19 at n = 200. With m = n // 8, the first 8 m rows are m
-    chunks of 8 rows. 7 adds run within every chunk at once; the chunks'
-    last rows, now their totals, are summed the same way, recursively; one
-    broadcast add then adds each into the next chunk's other rows. The
-    fewer than 8 rows left run one by one, as does all of an n below 16.
-    ``counts`` may be any strided view: splitting its first axis into
-    chunks never copies. Every partial sum counts one slice's entries among
-    some positions, so no add can overflow a dtype that holds the slice
-    sizes, and the integer sums are the same whatever their order.
+def _chunks(n: int) -> tuple[int, int]:
+    """fks's chunk order for n sorted positions: C = isqrt(n) positions a
+    chunk and m = n // C whole chunks. Position t = c C + r (c < m, r < C)
+    is stored at row r m + c, so the rows come as C slabs of m, slab r
+    holding every chunk's r-th position; the positions t >= C m stay at row
+    t. For n < 4, C is 1 and the order is the natural one."""
+    size = math.isqrt(n)
+    return size, n // size
+
+
+def _chunk_ordered(dst: np.ndarray, src: np.ndarray) -> None:
+    """``src``, n sorted positions along its first axis, copied into ``dst``
+    in chunk order (``_chunks``), cast unsafely: one copy of the whole
+    chunks as a swapaxes view, then the rows left over. Either may be any
+    strided view; splitting its first axis never copies."""
+    size, m = _chunks(src.shape[0])
+    body = size * m
+    np.copyto(dst[:body].reshape(size, m, *dst.shape[1:]),
+              src[:body].reshape(m, size, *src.shape[1:]).swapaxes(0, 1), casting="unsafe")
+    np.copyto(dst[body:], src[body:], casting="unsafe")
+
+
+def _chunk_scan(lanes: np.ndarray) -> None:
+    """``lanes``, (s, n, p) with its positions in chunk order (``_chunks``),
+    summed along the positions in place: ``np.cumsum(axis=1)`` in the
+    natural order, in the lanes' own dtype. C - 1 adds of whole slabs, each
+    (s, m p), sum every chunk within itself; m - 1 row adds along the last
+    slab turn the chunk totals into prefixes; one broadcast add puts chunk
+    c - 1's prefix onto chunk c's other rows; the rows past the chunks run
+    one by one. That is (C - 1) + (m - 1) + 1 + (n - C m) calls and about
+    3 sqrt(n) inner loops a lane, each slab add one contiguous run of m p
+    cells. Every partial sum counts one slice's entries among some
+    positions, so no add can overflow a dtype that holds the slice sizes,
+    and the integer sums are the same whatever their order.
     """
-    n = counts.shape[0]
-    m = n // _SCAN_CHUNK if n >= 2 * _SCAN_CHUNK else 0
-    if m:
-        chunks = counts[:m * _SCAN_CHUNK].reshape(m, _SCAN_CHUNK, *counts.shape[1:])
-        for t in range(1, _SCAN_CHUNK):
-            np.add(chunks[:, t - 1], chunks[:, t], out=chunks[:, t])
-        ends = chunks[:, -1]
-        _running_counts(ends)
-        np.add(chunks[1:, :-1], ends[:-1, None], out=chunks[1:, :-1])
-    for t in range(max(1, m * _SCAN_CHUNK), n):
-        np.add(counts[t - 1], counts[t], out=counts[t])
+    s, n = lanes.shape[:2]
+    size, m = _chunks(n)
+    body = size * m
+    grid = lanes[:, :body].reshape(s, size, m, *lanes.shape[2:])
+    # the row views are made once: indexing in the loops costs more than
+    # the adds of the shortest rows
+    slabs = list(grid.swapaxes(0, 1))
+    for before, here in zip(slabs, slabs[1:]):
+        np.add(before, here, out=here)
+    ends = list(slabs[-1].swapaxes(0, 1))
+    for before, here in zip(ends, ends[1:]):
+        np.add(before, here, out=here)
+    np.add(grid[:, :-1, 1:], grid[:, -1:, :-1], out=grid[:, :-1, 1:])
+    rows = list(lanes[:, body - 1:].swapaxes(0, 1))
+    for before, here in zip(rows, rows[1:]):
+        np.add(before, here, out=here)
 
 
 def fks_score(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS, schemes=None) -> float:

@@ -130,11 +130,13 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     """Benchmark every requested screener over ``reps`` replications.
 
     All screeners score the same instance within a replication (paired
-    comparison). When two or more of fmv, fks and rcs are requested they
-    share one ranked view of its columns, built once; a lone reader builds
-    its own, so the view is not held while the other screeners run.
-    Replication r uses the stream derived from (base_seed, r), so
-    parallel execution is bit-reproducible.
+    comparison). The screeners that do not read x's ranked view (sis) score
+    first. When two or more of fmv, fks and rcs are requested they then
+    share one ranked view of its columns, built when the first of them comes
+    up; a lone reader builds its own. So the view is never held beside a
+    screener that does not read it. Results are kept per screener name, so
+    the scoring order changes no report. Replication r uses the stream
+    derived from (base_seed, r), so parallel execution is bit-reproducible.
     """
     screeners = list(dict.fromkeys(screeners))  # each name once, first-seen order
     if reps < 1:
@@ -151,12 +153,16 @@ def run_replications(spec: ExperimentSpec, screeners, reps: int,
     values = {name: np.empty(reps, dtype=np.int64) for name in screeners}
     flagged = {name: np.zeros(reps, dtype=bool) for name in screeners}
     shares_view = len(_READS_RANKED.intersection(screeners)) > 1
+    # the view-free screeners first, each group in first-seen order
+    scoring_order = sorted(screeners, key=lambda name: name in _READS_RANKED)
 
     def one_rep(r: int) -> None:
         instance = gen_experiment(spec, derived_rng(base_seed, r))
-        # the dataset has checked x, so building its view cannot fail
-        ranked = ranked_columns(instance.dataset.x) if shares_view else None
-        for name in screeners:
+        ranked = None
+        for name in scoring_order:
+            if shares_view and ranked is None and name in _READS_RANKED:
+                # the dataset has checked x, so building its view cannot fail
+                ranked = ranked_columns(instance.dataset.x)
             scores, degenerate = _score_one(name, instance, schemes, ranked)
             values[name][r] = mms(scores, instance.active)
             flagged[name][r] = degenerate

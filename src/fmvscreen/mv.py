@@ -28,12 +28,14 @@ Two baselines read the same view. fks packs every scheme's slice labels
 into per-row codes of at most 64 - bit_length(n - 1) bits, and orders each
 column block, per code, with one in-place sort of rank-tagged keys
 (rank << c) | code, c the code's bits: the low bits give each sorted
-position's code and the bits above, on tied columns, its run start. Per
-scheme it then accumulates every slice's cumulative counts at once in
-O(log n) adds of whole rows, S count-bytes per cell (S = s_eff, one byte per
-lane while slices hold at most 255 entries), and finds each column's widest
-ECDF gap in exact integers, with floats only at that gap, so
-O(p * n * sum s_eff) small-integer operations. rcs (Kendall) compares the
+position's code and the bits above, on tied columns, its run start. The
+codes are copied out with each column's positions in chunk order
+(C = isqrt(n) slabs of n // C rows), and per scheme fks accumulates every
+slice's cumulative counts at once in O(sqrt(n)) adds, most of whole
+slabs, S count-bytes per cell (S = s_eff, one byte per lane while slices
+hold at most 255 entries), and finds each column's widest ECDF gap in
+exact integers, with floats only at that gap, so O(p * n * sum s_eff)
+small-integer operations. rcs (Kendall) compares the
 ranks themselves, and counts the pairs tied in x from their sums.
 ``tie_starts`` picks out the tied columns and their sorted ranks for the
 kernel. A caller that scores one matrix several ways
@@ -192,8 +194,30 @@ def _exact_int(n: int):
     return np.int64 if n ** 3 <= np.iinfo(np.int64).max else object
 
 
+def _label_arrays(labels_list, n: int) -> list[tuple | None]:
+    """Per slicing (None stays None), what ``mv_hat_columns_multi`` reads of
+    its labels, which depends on the labels and n alone: the slice sizes
+    in exact ints, each slice's first place in the slice-by-slice listing,
+    each row's key offset (g - 1) n, the offsets at each place of the
+    listing, and the weight 2 r + 1 there."""
+    product = np.min_scalar_type(2 * n * n)
+    exact = _exact_int(n)
+    out = []
+    for labels in labels_list:
+        if labels is None:
+            out.append(None)
+            continue
+        first = np.concatenate(([0], np.cumsum(labels.counts)[:-1]))
+        offsets = np.arange(0, labels.s_eff * n, n, dtype=np.min_scalar_type(labels.s_eff * n))
+        weight = 2 * (np.arange(n) - np.repeat(first, labels.counts)) + 1
+        out.append((labels.counts.astype(exact), first, offsets[labels.g - 1],
+                    np.repeat(offsets, labels.counts), weight.astype(product)))
+    return out
+
+
 def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
-                         ranked: np.ndarray | None = None) -> np.ndarray:
+                         ranked: np.ndarray | None = None,
+                         label_arrays: list[tuple | None] | None = None) -> np.ndarray:
     """Fast path: the statistic for every column, for several slicings at once.
 
     With c_s(t) the number of slice-s entries among a column's first t + 1
@@ -224,7 +248,9 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     labeling (``mv_hat`` passes its labels as given) scores an exact 0.0,
     its square sum being the F^2 term's. The kernel checks nothing: its
     caller passes a checked x (``check_matrix``), labels over its n rows,
-    and, if any, a view of x's shape (``check_ranked``).
+    and, if any, a view of x's shape (``check_ranked``). A caller that
+    scores several column blocks passes ``label_arrays``
+    (``_label_arrays(labels_list, n)``), built once for every block.
     """
     n, p = x.shape
     out = np.zeros((len(labels_list), p))
@@ -240,22 +266,19 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     tied, starts = tie_starts(ranks)
     f_sq[tied] = n ** 3 - (starts * (2 * np.arange(n) + 1)).sum(axis=1, dtype=exact)
     del starts
+    if label_arrays is None:
+        label_arrays = _label_arrays(labels_list, n)
     # each (2 r + 1) b is below 2 n^2
     product = np.empty((p, n), dtype=np.min_scalar_type(2 * n * n))
-    for k, labels in enumerate(labels_list):
-        if labels is None:
+    for k, arrays in enumerate(label_arrays):
+        if arrays is None:
             continue
-        sizes = labels.counts.astype(exact)
-        first = np.concatenate(([0], np.cumsum(labels.counts)[:-1]))
-        key = np.min_scalar_type(labels.s_eff * n)
-        offsets = np.arange(0, labels.s_eff * n, n, dtype=key)
-        keys = np.add(ranks, offsets[labels.g - 1], dtype=key)
+        sizes, first, row_offsets, listed_offsets, weight = arrays
+        keys = np.add(ranks, row_offsets, dtype=row_offsets.dtype)
         keys.sort(axis=1)
-        keys -= np.repeat(offsets, labels.counts)
-        # 2 r + 1 at each place of the slice-by-slice listing
-        weight = 2 * (np.arange(n) - np.repeat(first, labels.counts)) + 1
+        keys -= listed_offsets
         # sum_{k in s} (2 r_k + 1) b_k, then n size_s^2 minus it
-        np.multiply(keys, weight.astype(product.dtype), out=product)
+        np.multiply(keys, weight, out=product)
         del keys
         dot = np.add.reduceat(product, first, axis=1, dtype=exact)
         sq_counts = n * sizes * sizes - dot

@@ -10,7 +10,7 @@ import numpy as np
 
 from .checks import check_counts, check_matrix, check_ranked, check_response, check_vector
 from .errors import DegenerateSlicesError, InputError
-from .mv import _BLOCK_CELLS, _column_blocks, mv_hat_columns_multi
+from .mv import _BLOCK_CELLS, _column_blocks, _label_arrays, mv_hat_columns_multi
 from .slicing import (
     SliceLabels,
     build_categorical_slices,
@@ -174,11 +174,13 @@ def fmv_scores(x, y, kind: ResponseKind = ResponseKind.CONTINUOUS,
     degenerate = all(lab is None for lab in labels_list)
     n_threads = _resolve_threads(threads)
     blocks = _column_blocks(p, _BLOCK_CELLS // max(n, 1), n_threads)
+    label_arrays = _label_arrays(labels_list, n)
 
     def score_block(block):
         lo, hi = block
         view = None if ranked is None else ranked[lo:hi]
-        return mv_hat_columns_multi(x[:, lo:hi], labels_list, ranked=view)
+        return mv_hat_columns_multi(x[:, lo:hi], labels_list, ranked=view,
+                                    label_arrays=label_arrays)
 
     per_scheme = np.concatenate(_thread_map(score_block, blocks, n_threads), axis=1)
     return per_scheme.sum(axis=0), per_scheme, degenerate

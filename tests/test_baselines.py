@@ -27,9 +27,11 @@ from fmvscreen import (
 import fmvscreen.baselines
 import fmvscreen.mv
 from fmvscreen.baselines import (
+    _chunk_ordered,
+    _chunk_scan,
+    _chunks,
     _gap_type,
     _packed_codes,
-    _running_counts,
     _widest_ecdf_gap,
     kendall_score_bruteforce,
 )
@@ -272,19 +274,23 @@ def fks_stable_argsort(x, y, kind, schemes) -> np.ndarray:
     """fks over all columns at once, each column ordered by a stable argsort
     of its ranks and its tie runs taken from ``mv.tie_starts``: an order
     that fks's sort of (rank << c) | code keys must match at every tie
-    run's end."""
+    run's end. The codes and flags reach ``_widest_ecdf_gap`` in chunk
+    order, through the copy fks_scores makes (``_chunk_ordered``)."""
     ranked = ranked_columns(x)
     schemes = _resolve_schemes(schemes, kind, x.shape[0])
     live = [lab for lab in labels_for_schemes(y, kind, schemes) if lab is not None]
     codes, _, fields = _packed_codes(live, 64)
     order = np.argsort(ranked, axis=1, kind="stable")
     tied, starts = tie_starts(ranked)
-    inside_run = np.zeros(starts.shape, dtype=bool)
-    inside_run[:, :-1] = starts[:, 1:] == starts[:, :-1]
+    flags = np.zeros(starts.shape, dtype=bool)
+    flags[:, :-1] = starts[:, 1:] == starts[:, :-1]
+    inside_run = np.empty_like(flags)
+    _chunk_ordered(inside_run.T, flags.T)
     out = np.zeros(x.shape[1])
     for labels, (c, shift) in zip(live, fields):
         count = np.min_scalar_type(labels.counts.max())
-        block = np.ascontiguousarray(codes[c][order].T)
+        block = np.empty(x.shape, dtype=codes[c].dtype)
+        _chunk_ordered(block, codes[c][order].T)
         out += _widest_ecdf_gap(block, shift, tied, inside_run, labels, count)
     return out
 
@@ -497,29 +503,63 @@ def test_fks_count_memory_stays_within_budget(monkeypatch) -> None:
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 24, 25, 26, 400, 401])
+def test_chunk_order_places_each_position(n) -> None:
+    # position t = c C + r (c < m, r < C) goes to row r m + c, and the
+    # positions past the C m of whole chunks stay where they are
+    chunk, m = _chunks(n)
+    assert chunk * chunk <= n < (chunk + 1) ** 2 and m == n // chunk
+    want = np.arange(n)
+    for t in range(chunk * m):
+        want[(t % chunk) * m + t // chunk] = t
+    got = np.empty((n, 3), dtype=np.uint16)
+    _chunk_ordered(got, np.repeat(np.arange(n)[:, None], 3, axis=1))
+    assert np.array_equal(got, np.repeat(want[:, None], 3, axis=1))
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 @pytest.mark.parametrize("s_eff", [2, 5])
 def test_running_counts_equal_cumsum(dtype, s_eff) -> None:
-    # n = 1..70 takes in n < 16 (no chunks) and one level of chunks of 8
-    # with and without rows left over; 127-130, 1023-1026 and 1100 take the
-    # recursion's second and third levels in (at 128 and 1024 rows) and
-    # their leftover rows. Each slice's hits are scaled, and past the
-    # dtype's top thinned, so that a full column's count nears the top,
-    # where a wrap would show. fks passes the scan an (n, s_eff, p) view of
-    # (s_eff, n, p) lanes, so it runs on both layouts
+    # fks's chunk-order scan (``_chunk_scan``): n = 1..70 takes in C = 1
+    # (n < 4), exact squares and positions past the whole chunks; 127-130,
+    # 195-197, 399-401, 1023-1026 and 1100 do so at larger C. Each slice's
+    # hits are scaled, and past the dtype's top thinned, so that a full
+    # column's count nears the top, where a wrap would show. The expected
+    # counts are np.cumsum in the natural order, put into chunk order as
+    # fks_scores puts its codes
     rng = np.random.default_rng(53)
     top = np.iinfo(dtype).max
-    for n in [*range(1, 71), 127, 128, 129, 130, 1023, 1024, 1025, 1026, 1100]:
+    for n in [*range(1, 71), 127, 128, 129, 130, 195, 196, 197, 399, 400, 401,
+              1023, 1024, 1025, 1026, 1100]:
         g = rng.integers(0, s_eff, size=(n, 9))
         hits = g[:, None, :] == np.arange(s_eff)[:, None]
         step = max(1, top // n)
         hits &= np.cumsum(hits, axis=0) <= top // step
         counts = (hits * step).astype(dtype)
-        want = np.cumsum(counts, axis=0, dtype=dtype)
-        lanes = np.ascontiguousarray(counts.transpose(1, 0, 2))
-        for view in (counts, lanes.transpose(1, 0, 2)):
-            _running_counts(view)
-            assert view.dtype == dtype and view.tobytes() == want.tobytes(), n
+        want = np.empty((s_eff, n, 9), dtype=dtype)
+        _chunk_ordered(want.transpose(1, 0, 2), np.cumsum(counts, axis=0, dtype=dtype))
+        lanes = np.empty((s_eff, n, 9), dtype=dtype)
+        _chunk_ordered(lanes.transpose(1, 0, 2), counts)
+        _chunk_scan(lanes)
+        assert lanes.dtype == dtype and lanes.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 15, 16, 17, 196, 200, 257, 400])
+@pytest.mark.parametrize("tied", [False, True])
+def test_fks_chunk_order_matches_the_stable_argsort(n, tied) -> None:
+    # the chunk order at C = 1, around and at exact squares, and with
+    # positions past the whole chunks: scores byte-identical to the
+    # reference's, for continuous and categorical y
+    rng = np.random.default_rng(n + 7)
+    x = rng.normal(size=(n, 6))
+    if tied:
+        x = np.round(x, 1)
+        x[:, 1] = rng.integers(0, 3, size=n)
+    cases = [(x[:, 0] + rng.normal(size=n), ResponseKind.CONTINUOUS, [2, 3][:n - 1] if n < 27 else None),
+             (rng.integers(0, 2, size=n).astype(float), ResponseKind.CATEGORICAL, None)]
+    for y, kind, schemes in cases:
+        scores = fks_scores(x, y, kind, schemes)
+        assert scores.tobytes() == fks_stable_argsort(x, y, kind, schemes).tobytes()
 
 
 def test_fks_takes_the_widest_float_among_equal_exact_gaps() -> None:

@@ -11,7 +11,7 @@ from fmvscreen import (
     mv_hat,
     mv_hat_bruteforce,
 )
-from fmvscreen.mv import mv_hat_columns_multi, ranked_columns, tie_starts
+from fmvscreen.mv import _label_arrays, mv_hat_columns_multi, ranked_columns, tie_starts
 from fmvscreen.slicing import SliceLabels
 
 
@@ -244,6 +244,11 @@ def test_kernel_matches_oracle_at_dtype_edges(n, s_values) -> None:
     for k, labels in enumerate(labels_list):
         for j in range(x.shape[1]):
             assert abs(got[k, j] - mv_hat_bruteforce(x[:, j], labels)) <= 1e-12
+    # the label arrays built once, as fmv_scores passes them to every block,
+    # score the same bits; a degenerate slicing scores a zero row
+    labels_list = [None, *labels_list]
+    shared = mv_hat_columns_multi(x, labels_list, label_arrays=_label_arrays(labels_list, n))
+    assert shared[1:].tobytes() == got.tobytes() and not shared[0].any()
 
 
 def test_exact_sums_beyond_int64_agree(monkeypatch) -> None:

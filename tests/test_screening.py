@@ -214,9 +214,9 @@ def test_fmv_column_blocks_are_bit_identical(monkeypatch, kind) -> None:
     kernel = fmvscreen.screening.mv_hat_columns_multi
     widths = []
 
-    def spy(xb, labels_list, *, ranked=None):
+    def spy(xb, labels_list, **kwargs):
         widths.append(xb.shape[1])
-        return kernel(xb, labels_list, ranked=ranked)
+        return kernel(xb, labels_list, **kwargs)
 
     monkeypatch.setattr(fmvscreen.screening, "mv_hat_columns_multi", spy)
     monkeypatch.setattr(fmvscreen.screening, "_BLOCK_CELLS", 3 * n)
