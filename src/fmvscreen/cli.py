@@ -12,12 +12,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import SCREENER_NAMES, render_table_text, run_replications, write_reports
 from .errors import InputError
-from .screening import Dataset, ResponseKind, _resolve_schemes, fmv_scores, rank_descending
-from .simulate import EXPERIMENT_IDS, ExperimentSpec, _standard_cauchy, derived_rng, gen_experiment
+from .screening import (
+    Dataset,
+    ResponseKind,
+    _resolve_schemes,
+    _resolve_threads,
+    fmv_scores,
+    rank_descending,
+)
 
 __all__ = ["main", "build_parser"]
+
+# copies of bench.SCREENER_NAMES and simulate.EXPERIMENT_IDS for the help
+# texts, so ``screen`` loads neither module; tests/test_cli.py pins them.
+# Each command imports the modules it runs.
+_SCREENER_NAMES = ("fks", "fmv", "rcs", "sis")
+_EXPERIMENT_IDS = ("1a", "1b", "1c", "1d", "2a", "2b", "2c", "3", "4", "5", "6", "7")
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 # body lines per np.loadtxt call in ``screen``'s CSV reader
@@ -53,14 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="materialize one experiment draw as CSV")
     p_sim.add_argument("--cases", required=True,
-                       help=f"experiment id, one of {', '.join(EXPERIMENT_IDS)}")
+                       help=f"experiment id, one of {', '.join(_EXPERIMENT_IDS)}")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True, help="output CSV (y first column)")
 
     p_bench = sub.add_parser("bench", help="run the replicated MMS benchmark")
     p_bench.add_argument("--cases", required=True, help="comma-separated experiment ids")
     p_bench.add_argument("--screeners", default="fmv",
-                         help=f"comma-separated subset of {{{','.join(SCREENER_NAMES)}}}")
+                         help=f"comma-separated subset of {{{','.join(_SCREENER_NAMES)}}}")
     p_bench.add_argument("--reps", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--threads", type=int, default=0, help="0 = auto")
@@ -291,6 +302,8 @@ def cmd_screen(args) -> int:
         raise InputError(f"--dn must be at least 1, got {args.dn}")
     if args.noise < 0:
         raise InputError(f"--noise must be at least 0, got {args.noise}")
+    requested = _parse_schemes(args.schemes)
+    threads = _resolve_threads(args.threads)
     header, y_idx, y, x, dropped = _read_matrix(args.input, args.response)
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
@@ -321,6 +334,8 @@ def cmd_screen(args) -> int:
             raise InputError(f"interaction column {name!r} overflows the float range")
         added.append(product)
     if args.noise:
+        from .simulate import _standard_cauchy, derived_rng
+
         added.append(_standard_cauchy(derived_rng(args.seed, 0), (x.shape[0], args.noise)))
     if added:
         x = np.column_stack([x, *added])
@@ -330,12 +345,12 @@ def cmd_screen(args) -> int:
     # the library's source path and line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        schemes = _resolve_schemes(_parse_schemes(args.schemes), args.kind, x.shape[0])
+        schemes = _resolve_schemes(requested, args.kind, x.shape[0])
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     dataset = Dataset(y=y, x=x, kind=args.kind)
     fused, per_scheme, degenerate = fmv_scores(dataset.x, dataset.y, dataset.kind, schemes,
-                                               threads=args.threads)
+                                               threads=threads)
     if degenerate:
         # every score would be 0, and a ranking by column index reads as real
         raise InputError(f"response {header[y_idx]!r} is degenerate: "
@@ -358,6 +373,8 @@ def cmd_screen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import ExperimentSpec, gen_experiment
+
     spec = ExperimentSpec(id=args.cases, seed=args.seed)
     instance = gen_experiment(spec)
     ds = instance.dataset
@@ -385,6 +402,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import render_table_text, run_replications, write_reports
+    from .simulate import ExperimentSpec
+
     # each name once, in first-seen order, as run_replications takes screeners
     cases = list(dict.fromkeys(tok for tok in args.cases.split(",") if tok))
     screeners = [tok for tok in args.screeners.split(",") if tok]

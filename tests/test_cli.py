@@ -270,6 +270,26 @@ def test_screen_drops_rows_with_missing_cells(tmp_path, capsys) -> None:
     assert "dropped 2 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--schemes", "3,x", "error: bad --schemes value '3,x'"),
+    ("--threads", "-1", "error: threads must be nonnegative, got -1"),
+])
+def test_screen_checks_its_arguments_before_reading(tmp_path, capsys, flag, value,
+                                                     message) -> None:
+    # the input has rows with NA cells, so a read would print a dropped-rows line
+    data = tmp_path / "gaps.csv"
+    rows = ["resp,a,b"] + [f"{i}.0,{i}.5,{i}.25" for i in range(30)]
+    rows[3] = "2.0,,1.0"
+    rows[7] = "6.0,NA,3.0"
+    data.write_text("\n".join(rows) + "\n")
+    ranked = tmp_path / "ranked.csv"
+    rc = main(["screen", "--input", str(data), "--response", "resp", flag, value,
+               "--out", str(ranked)])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not ranked.exists()
+
+
 def test_screen_rejects_degenerate_response(tmp_path, capsys) -> None:
     # a constant response leaves every slicing with one slice, so every score
     # is 0; the ranking would only restate the column order
@@ -570,7 +590,8 @@ def test_bench_cli_rejects_unknown_screener(tmp_path, capsys) -> None:
 
 def test_bench_cli_warns_on_degenerate_replications(tmp_path, capsys, monkeypatch) -> None:
     # base seed 13 at n=3 draws an all-zero count response in replication 0
-    monkeypatch.setattr(fmvscreen.cli, "ExperimentSpec",
+    # cmd_bench imports ExperimentSpec from simulate when it runs
+    monkeypatch.setattr(fmvscreen.simulate, "ExperimentSpec",
                         lambda id, seed: ExperimentSpec(id, n=3, p=4, seed=seed))
     out_dir = tmp_path / "reports"
     assert main(["bench", "--cases", "6", "--screeners", "fmv,sis", "--reps", "1",
@@ -862,22 +883,54 @@ def test_screen_report_is_byte_identical_to_per_cell_repr(tmp_path) -> None:
     assert ranked.read_text() == "\n".join(want) + "\n"
 
 
+def fresh_modules(code: str) -> set[str]:
+    """The fmvscreen and numpy modules a fresh interpreter holds after ``code``."""
+    src = str(Path(fmvscreen.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules "
+             "if m.split('.')[0] in ('fmvscreen', 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def modules_after_screen(tmp_path) -> set[str]:
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=5)
+    return fresh_modules(
+        "from fmvscreen.cli import main\n"
+        f"assert main(['screen', '--input', {str(data)!r}, '--response', 'resp', "
+        f"'--out', {str(tmp_path / 'r.csv')!r}]) == 0")
+
+
 def test_screen_does_not_import_numpy_ma(tmp_path) -> None:
     # numpy 2's first np.unique call without index outputs imports numpy.ma,
     # about 20 ms of every fresh process
-    src = str(Path(fmvscreen.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    preloaded = subprocess.run(
-        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout.strip()
-    if preloaded == "True":
+    if "numpy.ma" in fresh_modules("import numpy"):
         pytest.skip("this numpy imports numpy.ma with numpy itself")
-    data = tmp_path / "toy.csv"
-    write_toy_csv(data, n=40, p=5)
-    code = ("import sys; from fmvscreen.cli import main; "
-            f"assert main(['screen', '--input', {str(data)!r}, '--response', 'resp', "
-            f"'--out', {str(tmp_path / 'r.csv')!r}]) == 0; "
-            "print('numpy.ma' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert "numpy.ma" not in modules_after_screen(tmp_path)
+
+
+def test_help_lists_pin_the_modules_names() -> None:
+    # the help texts read cli's copies, so screen need not import bench or
+    # simulate for them
+    assert fmvscreen.cli._SCREENER_NAMES == fmvscreen.bench.SCREENER_NAMES
+    assert fmvscreen.cli._EXPERIMENT_IDS == fmvscreen.simulate.EXPERIMENT_IDS
+
+
+def test_import_fmvscreen_loads_no_module() -> None:
+    assert fresh_modules("import fmvscreen") == {"fmvscreen"}
+
+
+def test_screen_imports_only_what_it_runs(tmp_path) -> None:
+    ours = {m for m in modules_after_screen(tmp_path) if m.startswith("fmvscreen")}
+    assert ours == {"fmvscreen", "fmvscreen.cli", "fmvscreen.screening", "fmvscreen.mv",
+                    "fmvscreen.slicing", "fmvscreen.checks", "fmvscreen.errors"}
+
+
+def test_simulate_leaves_bench_and_baselines_unloaded(tmp_path) -> None:
+    loaded = fresh_modules(
+        "from fmvscreen.cli import main\n"
+        f"assert main(['simulate', '--cases', '6', '--out', {str(tmp_path / 's.csv')!r}]) == 0")
+    assert "fmvscreen.simulate" in loaded
+    assert not loaded & {"fmvscreen.bench", "fmvscreen.baselines"}

@@ -278,13 +278,16 @@ def test_fmv_blocks_name_the_bad_column_of_x(monkeypatch) -> None:
 
 def test_import_leaves_the_thread_pool_unloaded() -> None:
     # concurrent.futures (with logging) is only imported where a pool is
-    # made, so a single-threaded process never pays for it
+    # made, so a single-threaded process never pays for it. The package
+    # loads its modules on first use, so every one is imported by name.
     src = str(Path(fmvscreen.screening.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, fmvscreen; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, fmvscreen.cli; from fmvscreen import *; "
+            "print(all(f'fmvscreen.{m}' in sys.modules for m in fmvscreen._EXPORTS), "
+            "'concurrent.futures' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "True False"
 
 
 def test_auto_threads_follow_the_affinity_mask(monkeypatch) -> None:
