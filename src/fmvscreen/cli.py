@@ -4,8 +4,11 @@ and run the minimum-model-size benchmark."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
+import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -31,10 +34,21 @@ _SCREENER_NAMES = ("fks", "fmv", "rcs", "sis")
 _EXPERIMENT_IDS = ("1a", "1b", "1c", "1d", "2a", "2b", "2c", "3", "4", "5", "6", "7")
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-# body lines per np.loadtxt call in ``screen``'s CSV reader
-_BLOCK_LINES = 64
+# body lines per np.loadtxt call in ``screen``'s CSV reader: the block's
+# lines, its parsed values and loadtxt's working copy of a line are the
+# reader's whole working set beside y and x
+_BLOCK_LINES = 8
 # the bytes a plain line may hold (see ``_is_plain``)
 _PLAIN_BYTES = b"0123456789.+-eE,\r\n"
+# from this many bytes on, ``_is_plain`` finds adjacent commas with one numpy
+# compare, which costs a fixed few microseconds; below it, a substring search
+# is cheaper
+_SCAN_BYTES = 2048
+# bytes per read when ``_body_capacity`` counts a file's line breaks
+_COUNT_BYTES = 1 << 16
+# report rows formatted per slice, so the report holds one slice of Python
+# floats and text at a time
+_REPORT_ROWS = 256
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,33 +113,39 @@ def _is_plain(line: str) -> bool:
     and commas, with no empty field: ``np.loadtxt`` then reads it exactly as
     ``csv.reader`` and ``float()`` would, or rejects it. The test deletes
     those bytes from the line's UTF-8 encoding: a non-ASCII character leaves
-    bytes of 0x80 and above, so its line is not plain."""
+    bytes of 0x80 and above, so its line is not plain. A long line's empty
+    field is found as two adjacent comma bytes by one numpy compare, not by a
+    substring search that stops at every comma."""
     body = line.rstrip("\r\n")
-    return (not line.encode().translate(None, _PLAIN_BYTES) and body != "" and body[0] != ","
-            and body[-1] != "," and ",," not in body)
+    encoded = body.encode()
+    if (encoded.translate(None, _PLAIN_BYTES) or body == "" or body[0] == ","
+            or body[-1] == ","):
+        return False
+    if len(encoded) < _SCAN_BYTES:
+        return ",," not in body
+    commas = np.frombuffer(encoded, dtype=np.uint8) == ord(",")
+    return not (commas[1:] & commas[:-1]).any()
 
 
 def _parse_row(row: list[str], out: np.ndarray) -> tuple[int, str] | None:
     """Parse one row's cells into ``out``; missing tokens become NaN.
 
-    The row converts in one call unless it holds a missing token or a bad
-    cell; only then is it read cell by cell. Returns the first bad cell as
-    (column, stripped text), or None.
+    Each cell goes through ``float()`` once; only a cell it rejects is
+    stripped and matched against the missing tokens. Returns the first bad
+    cell as (column, stripped text), or None; the cells before it are
+    written.
     """
-    try:
-        out[:] = np.fromiter(map(float, row), dtype=np.float64, count=len(row))
-        return None
-    except ValueError:
-        pass
+    values = []
     for j, cell in enumerate(row):
-        cell = cell.strip()
-        if cell.lower() in _MISSING_TOKENS:
-            out[j] = np.nan
-            continue
         try:
-            out[j] = float(cell)
+            values.append(float(cell))
         except ValueError:
-            return j, cell
+            token = cell.strip()
+            if token.lower() not in _MISSING_TOKENS:
+                out[:j] = values
+                return j, token
+            values.append(np.nan)
+    out[:] = values
     return None
 
 
@@ -134,22 +154,23 @@ class _Body:
     response vector ``y`` and the predictor matrix ``x`` (every column but
     the response's).
 
-    Rows with a missing value are dropped as each block lands. ``y`` and
-    ``x`` grow in place by a quarter when full, so the matrix is held once,
-    plus one block and the unfilled rows. The first fault in reading order
-    raises: a row of the wrong length, or a row's leftmost non-numeric or
-    infinite cell (a parsed ``inf`` or ``1e999``).
+    ``y`` and ``x`` start with ``capacity`` rows (``_body_capacity``), and
+    grow in place by a quarter only when a row finds them full, as on input
+    that cannot be sized beforehand (a pipe). Rows with a missing value are
+    dropped as each block lands. The first fault in reading order raises: a
+    row of the wrong length, or a row's leftmost non-numeric or infinite
+    cell (a parsed ``inf`` or ``1e999``).
     """
 
-    def __init__(self, header: list[str], y_idx: int):
+    def __init__(self, header: list[str], y_idx: int, capacity: int):
         self.header = header
         self.p = len(header)
         self.y_idx = y_idx
         self.rows = 0  # nonempty rows read so far
         self.kept = 0  # rows written to y and x
         self.dropped = 0
-        self.y = np.empty(0)
-        self.x = np.empty((0, self.p - 1))
+        self.y = np.empty(capacity)
+        self.x = np.empty((capacity, self.p - 1))
 
     def add_plain(self, lines: list[str]) -> None:
         """Plain lines (``_is_plain``) in one ``np.loadtxt`` call; a block it
@@ -248,69 +269,98 @@ def _response_index(header: list[str], response: str) -> int:
     return y_idx
 
 
-def _read_matrix(path: str, response: str
-                 ) -> tuple[list[str], int, np.ndarray, np.ndarray, int]:
-    """The header, the response's column index, the complete rows split into
-    the response vector and the predictor matrix, and the number of rows
-    dropped for a missing value.
+def _body_capacity(fh) -> int:
+    """Rows enough for the body of the open CSV ``fh``: its lines less the
+    header's. A row spans one line or more, and a blank line is no row, so
+    the body holds no more. The lines are counted from the line breaks, LF
+    and CR bytes less CR LF pairs, plus a last line with no break; the file
+    is read through its descriptor, ``_COUNT_BYTES`` at a time, so the text
+    layer's position does not move. 0 for input that cannot be sized
+    beforehand, such as a pipe."""
+    fd = fh.fileno()
+    if not hasattr(os, "pread") or not stat.S_ISREG(os.fstat(fd).st_mode):
+        return 0
+    lines = offset = 0
+    last = b""
+    while chunk := os.pread(fd, _COUNT_BYTES, offset):
+        lines += chunk.count(b"\n")
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk[:1] == b"\n":  # a \r\n across two pieces
+            lines -= 1
+        last = chunk[-1:]
+        offset += len(chunk)
+    if last not in (b"", b"\r", b"\n"):
+        lines += 1
+    return max(lines - 1, 0)
 
-    The response is resolved from the header before the body is read, so
-    each row is written straight into ``y`` and ``x`` and the matrix is held
-    once. The body streams through in blocks of ``_BLOCK_LINES`` plain
-    lines, each one ``np.loadtxt`` call; any other line is read by
-    ``csv.reader`` (which may pull further lines for a quoted field) and
-    ``float()``. So cells parse exactly as ``float()`` does, and no list of
-    cell strings is held. A leading UTF-8 byte-order mark is skipped. The
-    first fault in reading order is raised at once: a header that repeats a
-    name (report rows are keyed by name), an unknown response, then, row by
-    row, a row of the wrong length or its leftmost non-numeric or infinite
-    cell. A file that is not UTF-8, or that ``csv`` cannot split (a field
-    past its size limit, say), fails where the read meets it.
-    """
+
+@contextlib.contextmanager
+def _csv_input(path: str):
+    """``path`` open as UTF-8 text (a leading byte-order mark skipped) for
+    ``_read_header`` and ``_read_body``. A file that is not UTF-8, or that
+    ``csv`` cannot split (a field past its size limit, say), fails as an
+    ``InputError`` where the read meets it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise InputError(f"{path} is empty")
-            repeated = _first_repeat(header)
-            if repeated is not None:
-                raise InputError(f"header repeats column name {repeated!r}")
-            body = _Body(header, _response_index(header, response))
-            plain: list[str] = []
-            for line in fh:
-                if _is_plain(line):
-                    plain.append(line)
-                    if len(plain) == _BLOCK_LINES:
-                        body.add_plain(plain)
-                    continue
-                if plain:
-                    body.add_plain(plain)
-                body.add_rows([next(csv.reader(itertools.chain((line,), fh)))])
-            if plain:
-                body.add_plain(plain)
+            yield fh
         except UnicodeDecodeError:
             # its position counts from the decoder's chunk, not the file
             raise InputError(f"{path} is not UTF-8 text") from None
         except csv.Error as exc:
             raise InputError(f"cannot read {path} as CSV: {exc}") from None
+
+
+def _read_header(fh, path: str, response: str) -> tuple[list[str], int]:
+    """The header of the open CSV and the response's column index. A header
+    that repeats a name (report rows are keyed by name) fails first, then an
+    unknown response."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise InputError(f"{path} is empty")
+    repeated = _first_repeat(header)
+    if repeated is not None:
+        raise InputError(f"header repeats column name {repeated!r}")
+    return header, _response_index(header, response)
+
+
+def _read_body(fh, header: list[str], y_idx: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The complete rows after the header, split into the response vector
+    and the predictor matrix, and the number of rows dropped for a missing
+    value.
+
+    ``y`` and ``x`` are sized once from the file's line count
+    (``_body_capacity``) and trimmed to the rows kept, so each row is
+    written straight into them and the matrix is held once. The body
+    streams through in blocks of ``_BLOCK_LINES`` plain lines, each one
+    ``np.loadtxt`` call; any other line is read by ``csv.reader`` (which may
+    pull further lines for a quoted field) and ``float()``. So cells parse
+    exactly as ``float()`` does, and no list of cell strings is held. Row by
+    row, the first fault in reading order is raised at once: a row of the
+    wrong length or its leftmost non-numeric or infinite cell.
+    """
+    body = _Body(header, y_idx, _body_capacity(fh))
+    plain: list[str] = []
+    for line in fh:
+        if _is_plain(line):
+            plain.append(line)
+            if len(plain) == _BLOCK_LINES:
+                body.add_plain(plain)
+            continue
+        if plain:
+            body.add_plain(plain)
+        body.add_rows([next(csv.reader(itertools.chain((line,), fh)))])
+    if plain:
+        body.add_plain(plain)
     body.resize(body.kept)
-    return header, body.y_idx, body.y, body.x, body.dropped
+    return body.y, body.x, body.dropped
 
 
-def cmd_screen(args) -> int:
-    if args.dn is not None and args.dn < 1:
-        raise InputError(f"--dn must be at least 1, got {args.dn}")
-    if args.noise < 0:
-        raise InputError(f"--noise must be at least 0, got {args.noise}")
-    requested = _parse_schemes(args.schemes)
-    threads = _resolve_threads(args.threads)
-    header, y_idx, y, x, dropped = _read_matrix(args.input, args.response)
-    if dropped:
-        print(f"dropped {dropped} rows with missing values", file=sys.stderr)
-    if y.shape[0] < 2:
-        raise InputError("fewer than two complete rows after dropping missing values")
-    names = [name for j, name in enumerate(header) if j != y_idx]
-
+def _added_columns(args, names: list[str]) -> tuple[list[tuple[int, int]], list[str]]:
+    """The interaction pairs, as positions in ``names``, and the names of
+    every added column, interactions then noise. The header alone decides
+    them, so an unknown interaction column, or an added name that repeats a
+    column name, fails before the body is read."""
     pairs = []
     if args.interactions is not None:
         subset = names if args.interactions == "all" else [
@@ -326,6 +376,41 @@ def cmd_screen(args) -> int:
     repeated = _first_repeat(added_names, names)
     if repeated is not None:
         raise InputError(f"added column {repeated!r} repeats a column name")
+    return pairs, added_names
+
+
+def _write_report(path: Path, headers: list[str], names: list[str], top: np.ndarray,
+                  fused: np.ndarray, per_scheme: np.ndarray) -> None:
+    """The ranked report: one row per column of ``top``, its rank, name,
+    fused score and per-scheme scores, each float as its ``repr``. Rows are
+    formatted ``_REPORT_ROWS`` at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(headers) + "\n")
+        for lo in range(0, len(top), _REPORT_ROWS):
+            cols = top[lo:lo + _REPORT_ROWS]
+            rows = np.column_stack([fused[cols], per_scheme[:, cols].T]).tolist()
+            fh.write("".join(f"{rank},{names[j]},{','.join(map(repr, row))}\n"
+                             for rank, j, row in zip(itertools.count(lo + 1), cols.tolist(),
+                                                     rows)))
+
+
+def cmd_screen(args) -> int:
+    if args.dn is not None and args.dn < 1:
+        raise InputError(f"--dn must be at least 1, got {args.dn}")
+    if args.noise < 0:
+        raise InputError(f"--noise must be at least 0, got {args.noise}")
+    requested = _parse_schemes(args.schemes)
+    threads = _resolve_threads(args.threads)
+    with _csv_input(args.input) as fh:
+        header, y_idx = _read_header(fh, args.input, args.response)
+        names = [name for j, name in enumerate(header) if j != y_idx]
+        pairs, added_names = _added_columns(args, names)
+        y, x, dropped = _read_body(fh, header, y_idx)
+    if dropped:
+        print(f"dropped {dropped} rows with missing values", file=sys.stderr)
+    if y.shape[0] < 2:
+        raise InputError("fewer than two complete rows after dropping missing values")
+
     added = []
     for (a, b), name in zip(pairs, added_names):
         with np.errstate(over="ignore"):  # an overflow is named below
@@ -363,11 +448,8 @@ def cmd_screen(args) -> int:
     else:
         scheme_headers = [f"mv_s{s}" for s in schemes]
     out_path = Path(args.out)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["rank", "column", "fused_score"] + scheme_headers) + "\n")
-        rows = np.column_stack([fused, per_scheme.T])[top].tolist()
-        for rank, (j, row) in enumerate(zip(top.tolist(), rows), start=1):
-            fh.write(f"{rank},{names[j]},{','.join(map(repr, row))}\n")
+    _write_report(out_path, ["rank", "column", "fused_score"] + scheme_headers, names, top,
+                  fused, per_scheme)
     print(f"wrote {len(top)} ranked columns to {out_path}")
     return 0
 

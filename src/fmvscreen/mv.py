@@ -42,10 +42,10 @@ kernel. A caller that scores one matrix several ways
 builds the view once and passes it as ``ranked=``; the column sort is then
 paid once.
 
-``_BLOCK_CELLS`` is the one cell budget, sized so that a view-build block's
-one 8-byte buffer takes a quarter of a 2 MiB per-core L2 cache.
-``ranked_columns`` builds the view over column blocks of at most that many
-cells, ``screening.fmv_scores`` scores the kernel and sis
+``_BLOCK_CELLS`` is the one cell budget, sized so that a block's cells at 8
+bytes take a quarter of a 2 MiB per-core L2 cache. ``ranked_columns``
+builds the view over column blocks of at most half that many cells,
+``screening.fmv_scores`` scores the kernel and sis
 (``baselines.pearson_scores``) centres its columns over the same width,
 and fks sizes its blocks from it in bytes, ``baselines._FKS_BUDGET_BYTES``
 per budget cell, so no temporary grows with p. ``_column_blocks`` is the
@@ -64,15 +64,19 @@ from .slicing import SliceLabels
 __all__ = ["mv_hat", "mv_hat_bruteforce", "ranked_columns"]
 
 
-# cells of x per column block: the MV kernel, the ranked view's build and sis
-# each work over column blocks of about this many cells, and fks over blocks
-# of a byte budget sized from it, so their temporaries stay within a fixed
-# budget at any p (the kernel holds about 13 bytes a block cell with a view
-# passed in, and the view build 12 to 14 besides the ranks it returns, up to
-# 20 in a block whose columns fail its exactness check). At 2**16 the view
-# build's one 8-byte buffer, which holds the tagged values and then the
-# scatter index, takes 512 KiB a block, a quarter of a 2 MiB per-core L2
-# cache, and a block is a tenth of a 200 x 3000 matrix and a seventh of a
+# cells of x per column block: the MV kernel and sis each work over column
+# blocks of about this many cells, the ranked view's build over blocks of
+# half as many, and fks over blocks of a byte budget sized from it, so their
+# temporaries stay within a fixed budget at any p. With c the bytes of a rank
+# (1 up to n = 255, 2 to 65535), w those of the kernel's products (the
+# smallest unsigned int that holds n^3) and k those of its sort keys (that
+# holds s_eff n), the kernel holds w + k bytes a block cell with a view
+# passed in, and the view build 8 + 2 c a cell of its half-size block
+# besides the ranks it returns, 8 more in a column that fails its exactness
+# check, so (8 + 2 c) / 2 a kernel block cell. The view build's one 8-byte
+# buffer, which holds the tagged values and then the scatter index, takes
+# 4 * _BLOCK_CELLS bytes, an eighth of a 2 MiB per-core L2 cache at 2**16,
+# and a kernel block is a tenth of a 200 x 3000 matrix and a seventh of a
 # 400 x 1000 one
 _BLOCK_CELLS = 1 << 16
 
@@ -90,11 +94,11 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
     n. Ranks compare exactly like the values, equal values share one rank,
     and -0.0 and 0.0 are equal.
 
-    The ranks are built over column blocks of at most ``_BLOCK_CELLS`` cells
-    into one preallocated (p, n) array. Each block's columns are copied, plus
-    0.0 so that -0.0 reads as 0.0, into one contiguous float64 buffer, and the
-    low b = bit_length(n - 1) mantissa bits of every value are overwritten
-    with its row index. The exponent is kept, so the tagged values stay
+    The ranks are built over column blocks of at most ``_BLOCK_CELLS // 2``
+    cells, half the kernel's block, into one preallocated (p, n) array. Each
+    block's columns are copied, plus 0.0 so that -0.0 reads as 0.0, into one
+    contiguous float64 buffer, and the low b = bit_length(n - 1) mantissa
+    bits of every value are overwritten with its row index. The exponent is kept, so the tagged values stay
     finite. One in-place float sort per block orders every column, and the
     tags read back give each sorted position its row.
 
@@ -112,12 +116,17 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
     (it holds values one ulp apart, 0.1 + 0.2 beside 0.3, or a subnormal
     beside 0.0) takes its order from an argsort of its exact values.
 
+    Each sorted position's rank is then the last position at or before it
+    whose value differs from its predecessor's. In a block where no two
+    values of a column share a prefix, no column has a tie, and the ranks
+    are the sorted positions themselves, so that pass is skipped.
+
     Above the result, one block's 8-byte buffer (later the scatter index),
-    its sort order and sorted ranks, and numpy's ufunc buffers are alive,
-    about 12 bytes a block cell up to n = 255 and 14 above, at any p. A
-    column that fails the check adds its argsort's 8 bytes a cell, so a
-    block of such columns holds 18 and 20. Every column is ranked alone, so
-    the blocks cannot change the result.
+    its sort order and sorted ranks at c bytes a cell each (c the ranks'
+    itemsize), and numpy's fixed-size ufunc buffers are alive:
+    (8 + 2 c) * _BLOCK_CELLS / 2 bytes at most, at any p. A column that
+    fails the check adds its argsort's 8 bytes a cell. Every column is
+    ranked alone, so the blocks cannot change the result.
     """
     n, p = x.shape
     count = np.min_scalar_type(n)
@@ -125,8 +134,8 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
     bits = max(n - 1, 0).bit_length()
     tag = (1 << bits) - 1
     rows = np.arange(n)
-    steps = np.arange(1, n, dtype=count)
-    for lo, hi in _column_blocks(p, _BLOCK_CELLS // max(n, 1)):
+    positions = np.arange(n, dtype=count)
+    for lo, hi in _column_blocks(p, _BLOCK_CELLS // 2 // max(n, 1)):
         buf = np.empty((hi - lo, n))
         np.add(x[:, lo:hi].T, 0.0, out=buf)
         tagged = buf.view(np.int64)
@@ -155,16 +164,20 @@ def ranked_columns(x: np.ndarray) -> np.ndarray:
                 np.add(x[:, lo:hi].T, 0.0, out=buf)
                 exact = np.take(buf, fail, axis=0, out=buf[:fail.size], mode="clip")
                 order[fail] = np.argsort(exact, axis=1)
-        # each sorted position's rank: the last position at or before it
-        # whose value differs from its predecessor's
-        sorted_ranks[:, 1:] *= steps
-        np.maximum.accumulate(sorted_ranks, axis=1, out=sorted_ranks)
+            # each sorted position's rank: the last position at or before it
+            # whose value differs from its predecessor's
+            sorted_ranks[:, 1:] *= positions[1:]
+            np.maximum.accumulate(sorted_ranks, axis=1, out=sorted_ranks)
+        else:
+            # no two values of a column share a prefix, so no column has a
+            # tie and each sorted position is its own rank
+            sorted_ranks = positions
         # back to row order through flat indices into the block, held in the
-        # buffer: a plain 1-d scatter that costs well under half of
-        # put_along_axis
+        # buffer: a plain scatter that costs well under half of
+        # put_along_axis (the positions broadcast over a tie-free block)
         np.add(order, n * np.arange(hi - lo)[:, None], out=tagged)
         del order
-        ranks[lo:hi].reshape(-1)[tagged.reshape(-1)] = sorted_ranks.reshape(-1)
+        ranks[lo:hi].reshape(-1)[tagged] = sorted_ranks
         del buf, tagged, sorted_ranks  # before the next block allocates its own
     return ranks
 
@@ -176,7 +189,9 @@ def tie_starts(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and to that less the pairs it ties otherwise."""
     n = ranks.shape[1]
     tied = np.flatnonzero(ranks.sum(axis=1, dtype=np.int64) < n * (n - 1) // 2)
-    return tied, np.sort(ranks[tied], axis=1, kind="stable")
+    starts = ranks[tied]
+    starts.sort(axis=1, kind="stable")
+    return tied, starts
 
 
 def _column_blocks(p: int, most: int, threads: int = 1) -> list[tuple[int, int]]:
@@ -250,7 +265,12 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     caller passes a checked x (``check_matrix``), labels over its n rows,
     and, if any, a view of x's shape (``check_ranked``). A caller that
     scores several column blocks passes ``label_arrays``
-    (``_label_arrays(labels_list, n)``), built once for every block.
+    (``_label_arrays(labels_list, n)``), built once for every block. Above
+    its inputs the kernel holds one (p, n) product buffer, in the smallest
+    unsigned dtype that holds n^3, which the tie weights reuse, one
+    slicing's sort keys at a time, and, with no ``ranked`` passed, the view
+    and its build's half-size blocks; no temporary is a widened copy of a
+    whole block.
     """
     n, p = x.shape
     out = np.zeros((len(labels_list), p))
@@ -263,13 +283,19 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
     # slice: n^3 - sum_k (2 k + 1) b_(k) over the sorted ranks b_(k), and the
     # sum of squares 1..n on a tie-free column
     f_sq = np.full(p, n * (n + 1) * (2 * n + 1) // 6, dtype=exact)
+    # each (2 r + 1) b is below 2 n^2 and a slice's sum of them at most n^3:
+    # in the smallest dtype that holds n^3, reduceat sums the products in
+    # their own dtype, with no upcast copy of the block (past int64, on
+    # Python ints). The tie weights go through the same buffer.
+    product = np.empty((p, n), dtype=np.min_scalar_type(min(n ** 3, 2 ** 64 - 1)))
+    total = product.dtype if exact is np.int64 else object
     tied, starts = tie_starts(ranks)
-    f_sq[tied] = n ** 3 - (starts * (2 * np.arange(n) + 1)).sum(axis=1, dtype=exact)
-    del starts
+    weighted = np.multiply(starts, np.arange(1, 2 * n, 2, dtype=product.dtype),
+                           out=product[:tied.size])
+    f_sq[tied] = n ** 3 - weighted.sum(axis=1, dtype=exact)
+    del starts, weighted
     if label_arrays is None:
         label_arrays = _label_arrays(labels_list, n)
-    # each (2 r + 1) b is below 2 n^2
-    product = np.empty((p, n), dtype=np.min_scalar_type(2 * n * n))
     for k, arrays in enumerate(label_arrays):
         if arrays is None:
             continue
@@ -280,7 +306,7 @@ def mv_hat_columns_multi(x: np.ndarray, labels_list, *,
         # sum_{k in s} (2 r_k + 1) b_k, then n size_s^2 minus it
         np.multiply(keys, weight, out=product)
         del keys
-        dot = np.add.reduceat(product, first, axis=1, dtype=exact)
+        dot = np.add.reduceat(product, first, axis=1, dtype=total).astype(exact)
         sq_counts = n * sizes * sizes - dot
         out[k] = ((sq_counts / sizes).sum(axis=1) - f_sq / n) / (n * n)
     # the sums are exact, but their float quotients can round a zero

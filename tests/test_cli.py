@@ -26,6 +26,14 @@ from fmvscreen.errors import InputError
 from fmvscreen.simulate import _standard_cauchy, derived_rng
 
 
+def read_matrix(path, response):
+    """screen's read of a CSV: the header, the response's index, y, x and
+    the rows dropped for a missing value."""
+    with fmvscreen.cli._csv_input(path) as fh:
+        header, y_idx = fmvscreen.cli._read_header(fh, path, response)
+        return (header, y_idx, *fmvscreen.cli._read_body(fh, header, y_idx))
+
+
 def write_toy_csv(path, n=30, p=13, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, p))
@@ -290,6 +298,30 @@ def test_screen_checks_its_arguments_before_reading(tmp_path, capsys, flag, valu
     assert not ranked.exists()
 
 
+@pytest.mark.parametrize("header, added, message", [
+    ("resp,a,b", ["--interactions", "a,nope"], "error: interaction columns not found: nope"),
+    ("resp,a,b,a*b", ["--interactions", "a,b"], "error: added column 'a*b' repeats a column name"),
+    ("resp,a,noise1", ["--noise", "1"], "error: added column 'noise1' repeats a column name"),
+])
+def test_screen_checks_added_columns_before_reading_the_body(tmp_path, capsys, header, added,
+                                                             message) -> None:
+    # the header alone decides the added columns' names, so their faults
+    # come before the body is read: no dropped-rows line for the NA rows,
+    # and no fault of the bad cell further down
+    width = header.count(",") + 1
+    rows = [header] + [",".join(f"{i}.{j}" for j in range(width)) for i in range(30)]
+    rows[3] = ",".join(["NA"] * width)
+    rows[20] = ",".join(["oops"] * width)
+    data = tmp_path / "gaps.csv"
+    data.write_text("\n".join(rows) + "\n")
+    ranked = tmp_path / "ranked.csv"
+    rc = main(["screen", "--input", str(data), "--response", "resp", *added,
+               "--out", str(ranked)])
+    assert rc == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not ranked.exists()
+
+
 def test_screen_rejects_degenerate_response(tmp_path, capsys) -> None:
     # a constant response leaves every slicing with one slice, so every score
     # is 0; the ranking would only restate the column order
@@ -443,8 +475,22 @@ def test_plain_line_test_in_bytes_matches_the_text_test() -> None:
         if plain:
             cells = [c for c in cells if c in "0123456789.+-eE,"] or ["1"]
         lines.append("".join(cells) + rng.choice(["", "\n", "\r\n"]))
+    # lines of _SCAN_BYTES and more look for adjacent commas with numpy: an
+    # empty field anywhere, first and last included, or one other character
+    long_lines = []
+    for _ in range(300):
+        cells = [str(c) for c in rng.choice(["1.5", "-2", "3e1", "7", ".5"], size=800)]
+        kind = rng.integers(3)
+        if kind == 1:
+            cells[rng.choice([0, 1, rng.integers(800), 798, 799])] = ""
+        elif kind == 2:
+            cells[rng.integers(800)] += str(rng.choice(alphabet))
+        long_lines.append(",".join(cells) + rng.choice(["", "\n", "\r\n"]))
+    assert min(map(len, long_lines)) >= fmvscreen.cli._SCAN_BYTES
+    lines += long_lines
     assert all(fmvscreen.cli._is_plain(line) == by_text(line) for line in lines)
     assert sum(map(by_text, lines)) > 100  # both answers are exercised
+    assert 50 < sum(map(by_text, long_lines)) < 250
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -476,7 +522,7 @@ def test_parse_missing_tokens_and_padded_numbers(tmp_path) -> None:
             ["6.5", "2", " 6 "]]
     data = tmp_path / "cells.csv"
     data.write_text("\n".join(",".join(row) for row in [header] + rows) + "\n")
-    _, _, y, x, dropped = fmvscreen.cli._read_matrix(str(data), "resp")
+    _, _, y, x, dropped = read_matrix(str(data), "resp")
     assert dropped == 4
     assert y.tolist() == [3.5, 6.5]
     assert x.tolist() == [[-0.25, 4.0], [2.0, 6.0]]
@@ -718,7 +764,7 @@ def test_reader_matches_reference_parser(tmp_path) -> None:
         response = str(rng.choice(["y", f"c{p // 2}", f"c{p - 1}", str(rng.integers(p)),
                                    "nope", str(p)]))
         want = read_outcome(reference_split, path, response)
-        assert read_outcome(fmvscreen.cli._read_matrix, path, response) == want, case
+        assert read_outcome(read_matrix, path, response) == want, case
         outcomes.add("ok" if want[0] != "error" else
                      "non-finite" if "non-finite" in want[1] else want[1].split()[0])
     # every kind of fault was met: ragged rows, the response, bad and
@@ -732,7 +778,7 @@ def test_reader_matches_reference_parser(tmp_path) -> None:
                         newline="")
         want = read_outcome(reference_split, path, response)
         assert want[0] != "error" and want[2][0] > 4 * block and want[-1] > 0
-        assert read_outcome(fmvscreen.cli._read_matrix, path, response) == want, response
+        assert read_outcome(read_matrix, path, response) == want, response
 
 
 @pytest.mark.parametrize("ending", ENDINGS)
@@ -742,15 +788,15 @@ def test_reader_line_endings_blank_lines_and_quotes(tmp_path, ending) -> None:
     path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
     want = read_outcome(reference_split, path, "y")
     assert want[0] == "error" and "row 3 has 1 cells" in want[1]
-    assert read_outcome(fmvscreen.cli._read_matrix, path, "y") == want
+    assert read_outcome(read_matrix, path, "y") == want
     path.write_text(ending.join(lines[:3] + lines[4:6] + lines[7:]) + ending,
                     encoding="utf-8", newline="")
-    header, y_idx, y, x, dropped = fmvscreen.cli._read_matrix(str(path), "b")
+    header, y_idx, y, x, dropped = read_matrix(str(path), "b")
     assert (header, y_idx, dropped) == (["y", "a", "b"], 2, 0)
     assert y.tolist() == [3, 6, 9, 12]
     assert x.tolist() == [[1, 2], [4.5, 5], [7, 8], [10, 11]]
     assert read_outcome(reference_split, path, "b") == read_outcome(
-        fmvscreen.cli._read_matrix, path, "b")
+        read_matrix, path, "b")
 
 
 def test_screen_fault_order_follows_the_read(tmp_path, capsys) -> None:
@@ -830,12 +876,100 @@ def rounded_csv(tmp_path_factory):
 
 
 def test_reader_holds_the_matrix_once(rounded_csv) -> None:
-    # y and x with up to a quarter of rows unfilled, plus one block; parsing
-    # into blocks and joining them took 16.15
+    # y and x sized once from the line count, so with only the dropped rows
+    # unfilled, plus the header's names and one block of lines (tracemalloc,
+    # numpy 2.4: 31-32 rows of cells above the final y and x); parsing into
+    # blocks and joining them took 16.15 B/cell, and y and x grown by a
+    # quarter with blocks of 64 lines 62 rows above
     path, cells = rounded_csv
-    (_, _, y, x, dropped), peak = traced_peak(lambda: fmvscreen.cli._read_matrix(str(path), "y"))
+    (_, _, y, x, dropped), peak = traced_peak(lambda: read_matrix(str(path), "y"))
     assert (y.shape, x.shape, dropped) == ((195,), (195, 3000), 5)
     assert peak / cells <= 11
+    row_bytes = 8 * (x.shape[1] + 1)
+    assert peak <= y.nbytes + x.nbytes + 40 * row_bytes
+
+
+def test_screen_runs_in_x_plus_a_fixed_working_set(rounded_csv, tmp_path) -> None:
+    # x, the header's names, and then a block of lines, a kernel block or a
+    # slice of report rows (tracemalloc, numpy 2.4: 0.88 MiB above x, 1.08
+    # in a fresh process); y and x grown by a quarter, blocks of 64 lines,
+    # an int64 copy of each kernel block and one report of every row held
+    # 1.45 MiB above x
+    path, cells = rounded_csv
+    argv = ["screen", "--input", str(path), "--response", "y", "--threads", "1",
+            "--out", str(tmp_path / "ranked.csv")]
+    rc, peak = traced_peak(lambda: main(argv))
+    assert rc == 0
+    x_bytes = 195 * 3000 * 8
+    assert peak - x_bytes <= 1.25 * 2 ** 20
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", 0), ("y\n", 1), ("y", 1), ("y\n1\n2\n", 3), ("y\r\n1\r\n2", 3), ("y\r1\r2\r", 3),
+    ("y\n1\r\n2\r3\n\n", 5), ('y\n"1\n2"\n3\r\n', 4), ("\r\n" * 9, 9), ("\r" * 9 + "\n", 9),
+])
+@pytest.mark.parametrize("piece", [1, 2, 3, 1 << 16])
+def test_body_capacity_counts_line_breaks(tmp_path, monkeypatch, text, lines, piece) -> None:
+    # LF and CR bytes less CR LF pairs, one of which may straddle two pieces
+    # of the count, plus a last line with no break; a pipe cannot be sized
+    monkeypatch.setattr(fmvscreen.cli, "_COUNT_BYTES", piece)
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fmvscreen.cli._body_capacity(fh) == max(lines - 1, 0)
+        assert fh.read() == text  # the text layer's position did not move
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    with open(read_end, newline="", encoding="utf-8") as fh:
+        assert fmvscreen.cli._body_capacity(fh) == 0
+        assert fh.read() == text
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_screen_reads_a_pipe_as_it_reads_the_file(tmp_path) -> None:
+    # a pipe cannot be sized beforehand, so y and x grow as its rows land;
+    # the report is the file's, byte for byte
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=150, p=6)
+    lines = data.read_text().splitlines()
+    cells = lines[9].split(",")
+    cells[2] = "NA"
+    lines[9] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    from_file = tmp_path / "from_file.csv"
+    argv = ["--response", "resp", "--schemes", "3,5", "--out"]
+    assert main(["screen", "--input", str(data), *argv, str(from_file)]) == 0
+    from_pipe = tmp_path / "from_pipe.csv"
+    src = str(Path(fmvscreen.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "fmvscreen.cli", "screen", "--input", "/dev/stdin",
+                           *argv, str(from_pipe)],
+                          input=data.read_bytes(), capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"dropped 1 rows with missing values\n"
+    assert from_pipe.read_bytes() == from_file.read_bytes()
+
+
+def test_report_holds_one_slice_of_rows_at_a_time(tmp_path) -> None:
+    # the report is formatted _REPORT_ROWS rows at a time, so its peak does
+    # not grow with p (tracemalloc, numpy 2.4: 121 KiB at p = 20000 and
+    # 80000); one list of every row took 3.3 and 13 MiB
+    rng = np.random.default_rng(8)
+    for p in (20000, 80000):
+        fused, per_scheme = rng.random(p), rng.random((3, p))
+        top = np.argsort(-fused, kind="stable")
+        names = [f"c{j}" for j in range(p)]
+        out = tmp_path / f"report{p}.csv"
+        _, peak = traced_peak(lambda: fmvscreen.cli._write_report(
+            out, ["rank", "column", "fused_score", "mv_s3", "mv_s4", "mv_s5"], names, top,
+            fused, per_scheme))
+        assert peak <= 256 * 1024
+        lines = out.read_text().splitlines()
+        assert len(lines) == p + 1
+        j = int(top[-1])
+        assert lines[-1] == ",".join([str(p), f"c{j}", repr(float(fused[j]))]
+                                     + [repr(float(v)) for v in per_scheme[:, j]])
 
 
 def test_screen_peak_is_set_by_scoring(rounded_csv, tmp_path) -> None:
@@ -873,7 +1007,7 @@ def test_screen_report_is_byte_identical_to_per_cell_repr(tmp_path) -> None:
     ranked = tmp_path / "ranked.csv"
     assert main(["screen", "--input", str(data), "--response", "resp", "--schemes", "3,4",
                  "--dn", "6", "--out", str(ranked)]) == 0
-    _, _, y, x, _ = fmvscreen.cli._read_matrix(str(data), "resp")
+    _, _, y, x, _ = read_matrix(str(data), "resp")
     fused, per_scheme, _ = fmvscreen.fmv_scores(x, y, schemes=[3, 4])
     order = np.argsort(-fused, kind="stable")[:6]
     want = ["rank,column,fused_score,mv_s3,mv_s4"] + [

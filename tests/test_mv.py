@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,68 @@ def test_kernel_matches_oracle_at_dtype_edges(n, s_values) -> None:
     labels_list = [None, *labels_list]
     shared = mv_hat_columns_multi(x, labels_list, label_arrays=_label_arrays(labels_list, n))
     assert shared[1:].tobytes() == got.tobytes() and not shared[0].any()
+
+
+@pytest.mark.parametrize("n", [2, 9, 255, 256, 257])
+@pytest.mark.parametrize("block_columns", [None, 1, 3])
+def test_tie_free_blocks_rank_by_position(n, block_columns, monkeypatch) -> None:
+    # a view block whose columns are all tie-free takes its ranks straight
+    # from the sorted positions; beside a block holding a tied column, which
+    # runs the rank pass, the ranks are the same
+    rng = np.random.default_rng(81 + n)
+    x = rng.normal(size=(n, 7))
+    x[:, 5] = np.round(x[:, 5])
+    if block_columns is not None:
+        monkeypatch.setattr(fmvscreen.mv, "_BLOCK_CELLS", 2 * block_columns * n)
+    ranks = ranked_columns(x)
+    assert ranks.dtype == np.min_scalar_type(n)
+    assert np.array_equal(ranks, brute_ranks(x))
+    assert np.array_equal(ranks[:5], np.argsort(np.argsort(x[:, :5], axis=0), axis=0).T)
+
+
+def test_kernel_holds_a_fixed_working_set_on_an_all_tied_block() -> None:
+    # one kernel block of rounded, so all-tied, columns at n = 195: the
+    # products, one slicing's keys and the per-column sums (tracemalloc,
+    # numpy 2.4: 8.1 bytes a block cell with the view passed, 9.1 with the
+    # view built inside); an int64 copy of the block for the segmented sums
+    # and an int64 array of tie weights took 13.5 and 14.5
+    n = 195
+    p = fmvscreen.mv._BLOCK_CELLS // n
+    rng = np.random.default_rng(29)
+    x = np.round(rng.normal(size=(n, p)), 1)
+    y = rng.normal(size=n)
+    labels_list = [build_quantile_slices(y, s) for s in (4, 6, 8, 10)]
+    ranks = ranked_columns(x)
+    assert tie_starts(ranks)[0].size == p
+    for view, bound in ((ranks, 9.0), (None, 10.0)):
+        tracemalloc.start()
+        try:
+            got = mv_hat_columns_multi(x, labels_list, ranked=view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * p) <= bound
+    for k, labels in enumerate(labels_list):
+        for j in (0, p // 2, p - 1):
+            assert abs(got[k, j] - mv_hat_bruteforce(x[:, j], labels)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 41, 1625, 1626, 1900])
+def test_kernel_sums_fit_the_product_dtype(n) -> None:
+    # the products and their per-slice sums share the smallest unsigned dtype
+    # that holds n^3: uint16 to n = 40, uint32 to 1625, then uint64. A slice
+    # of all but the ten smallest values reaches about 2 n^3 / 3, past 2^32
+    # at n = 1900; a tied column takes the tie weights through the same
+    # buffer
+    rng = np.random.default_rng(n)
+    x = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                         np.arange(n, 0, -1.0)])
+    g = np.where(np.argsort(np.argsort(x[:, 0])) < 10, 1, 2)
+    labels_list = [make_labels(g), build_quantile_slices(x[:, 0] + rng.normal(size=n), 3)]
+    got = mv_hat_columns_multi(x, labels_list)
+    for k, labels in enumerate(labels_list):
+        for j in range(x.shape[1]):
+            assert abs(got[k, j] - mv_hat_bruteforce(x[:, j], labels)) <= 1e-12
 
 
 def test_exact_sums_beyond_int64_agree(monkeypatch) -> None:
