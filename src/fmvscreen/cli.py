@@ -34,16 +34,20 @@ _SCREENER_NAMES = ("fks", "fmv", "rcs", "sis")
 _EXPERIMENT_IDS = ("1a", "1b", "1c", "1d", "2a", "2b", "2c", "3", "4", "5", "6", "7")
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-# body lines per np.loadtxt call in ``screen``'s CSV reader: the block's
-# lines, its parsed values and loadtxt's working copy of a line are the
-# reader's whole working set beside y and x
-_BLOCK_LINES = 8
+# characters of plain body lines per np.loadtxt call in ``screen``'s CSV
+# reader: a block ends at the line that reaches this many, so its lines, its
+# parsed values and loadtxt's working copy of a line, the reader's whole
+# working set beside y and x, do not grow with the input, and narrow lines
+# still parse many to a call
+_BLOCK_CHARS = 1 << 17
 # the bytes a plain line may hold (see ``_is_plain``)
 _PLAIN_BYTES = b"0123456789.+-eE,\r\n"
 # from this many bytes on, ``_is_plain`` finds adjacent commas with one numpy
-# compare, which costs a fixed few microseconds; below it, a substring search
-# is cheaper
-_SCAN_BYTES = 2048
+# compare, whose cost hardly grows with the length; a substring search grows
+# by about a nanosecond a byte on comma-dense text, and below this it is the
+# cheaper (the two meet between 2.5 and 3 KB; ``is_plain_scan`` in
+# BENCH_29.json)
+_SCAN_BYTES = 2560
 # bytes per read when ``_body_capacity`` counts a file's line breaks
 _COUNT_BYTES = 1 << 16
 # report rows formatted per slice, so the report holds one slice of Python
@@ -130,11 +134,17 @@ def _is_plain(line: str) -> bool:
 def _parse_row(row: list[str], out: np.ndarray) -> tuple[int, str] | None:
     """Parse one row's cells into ``out``; missing tokens become NaN.
 
-    Each cell goes through ``float()`` once; only a cell it rejects is
-    stripped and matched against the missing tokens. Returns the first bad
-    cell as (column, stripped text), or None; the cells before it are
-    written.
+    The row converts in one call unless it holds a missing token or a bad
+    cell. Only then is it read cell by cell: each cell goes through
+    ``float()`` once, and only a cell it rejects is stripped and matched
+    against the missing tokens. Returns the first bad cell as (column,
+    stripped text), or None; the cells before it are written.
     """
+    try:
+        out[:] = np.fromiter(map(float, row), dtype=np.float64, count=len(row))
+        return None
+    except ValueError:
+        pass
     values = []
     for j, cell in enumerate(row):
         try:
@@ -332,23 +342,28 @@ def _read_body(fh, header: list[str], y_idx: int) -> tuple[np.ndarray, np.ndarra
     ``y`` and ``x`` are sized once from the file's line count
     (``_body_capacity``) and trimmed to the rows kept, so each row is
     written straight into them and the matrix is held once. The body
-    streams through in blocks of ``_BLOCK_LINES`` plain lines, each one
-    ``np.loadtxt`` call; any other line is read by ``csv.reader`` (which may
-    pull further lines for a quoted field) and ``float()``. So cells parse
-    exactly as ``float()`` does, and no list of cell strings is held. Row by
-    row, the first fault in reading order is raised at once: a row of the
-    wrong length or its leftmost non-numeric or infinite cell.
+    streams through in blocks of plain lines of about ``_BLOCK_CHARS``
+    characters, each one ``np.loadtxt`` call; any other line is read by
+    ``csv.reader`` (which may pull further lines for a quoted field) and
+    ``float()``. So cells parse exactly as ``float()`` does, and no list of
+    cell strings is held. Row by row, the first fault in reading order is
+    raised at once: a row of the wrong length or its leftmost non-numeric or
+    infinite cell.
     """
     body = _Body(header, y_idx, _body_capacity(fh))
     plain: list[str] = []
+    chars = 0
     for line in fh:
         if _is_plain(line):
             plain.append(line)
-            if len(plain) == _BLOCK_LINES:
+            chars += len(line)
+            if chars >= _BLOCK_CHARS:
                 body.add_plain(plain)
+                chars = 0
             continue
         if plain:
             body.add_plain(plain)
+            chars = 0
         body.add_rows([next(csv.reader(itertools.chain((line,), fh)))])
     if plain:
         body.add_plain(plain)

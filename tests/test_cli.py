@@ -479,12 +479,12 @@ def test_plain_line_test_in_bytes_matches_the_text_test() -> None:
     # empty field anywhere, first and last included, or one other character
     long_lines = []
     for _ in range(300):
-        cells = [str(c) for c in rng.choice(["1.5", "-2", "3e1", "7", ".5"], size=800)]
+        cells = [str(c) for c in rng.choice(["1.5", "-2", "3e1", "7", ".5"], size=1000)]
         kind = rng.integers(3)
         if kind == 1:
-            cells[rng.choice([0, 1, rng.integers(800), 798, 799])] = ""
+            cells[rng.choice([0, 1, rng.integers(1000), 998, 999])] = ""
         elif kind == 2:
-            cells[rng.integers(800)] += str(rng.choice(alphabet))
+            cells[rng.integers(1000)] += str(rng.choice(alphabet))
         long_lines.append(",".join(cells) + rng.choice(["", "\n", "\r\n"]))
     assert min(map(len, long_lines)) >= fmvscreen.cli._SCAN_BYTES
     lines += long_lines
@@ -744,11 +744,13 @@ def random_csv(rng, rows, p, faults, kinds=5):
     return text + ending if rng.random() < 0.8 else text
 
 
-def test_reader_matches_reference_parser(tmp_path) -> None:
+def test_reader_matches_reference_parser(tmp_path, monkeypatch) -> None:
     # rows at and around the reader's block size, and past several growth
     # steps of its buffers, with faults of every kind; half the files hold
-    # only non-plain and missing cells, so long ones are read to the end
-    block = fmvscreen.cli._BLOCK_LINES
+    # only non-plain and missing cells, so long ones are read to the end.
+    # Blocks end after 64 characters, so a block here holds a few lines
+    block = 8
+    monkeypatch.setattr(fmvscreen.cli, "_BLOCK_CHARS", 64)
     rng = np.random.default_rng(2026)
     outcomes = set()
     for case in range(480):
@@ -779,6 +781,35 @@ def test_reader_matches_reference_parser(tmp_path) -> None:
         want = read_outcome(reference_split, path, response)
         assert want[0] != "error" and want[2][0] > 4 * block and want[-1] > 0
         assert read_outcome(read_matrix, path, response) == want, response
+
+
+def test_reader_blocks_are_bounded_by_characters(tmp_path, monkeypatch) -> None:
+    # a block ends at the line that reaches _BLOCK_CHARS, so narrow lines
+    # parse many to a call and wide ones few; a non-plain line ends a block
+    blocks = []
+    add_plain = fmvscreen.cli._Body.add_plain
+
+    def recording(self, lines):
+        blocks.append(list(map(len, lines)))
+        add_plain(self, lines)
+
+    monkeypatch.setattr(fmvscreen.cli._Body, "add_plain", recording)
+    budget = fmvscreen.cli._BLOCK_CHARS
+    rng = np.random.default_rng(21)
+    for p, n, most in ((4, 12000, None), (2000, 60, 12)):
+        rows = [",".join(f"{v:.3f}" for v in row) for row in rng.normal(size=(n, p + 1))]
+        rows[n // 2] = rows[n // 2].replace(",", ", ", 1)  # one non-plain row
+        path = tmp_path / f"w{p}.csv"
+        path.write_text("\n".join([",".join(["y"] + [f"c{j}" for j in range(p)])] + rows)
+                        + "\n", encoding="utf-8")
+        blocks.clear()
+        _, _, y, x, _ = read_matrix(str(path), "y")
+        assert x.shape == (n, p) and sum(map(len, blocks)) == n - 1
+        # each block reaches the budget but for the one before the non-plain
+        # row and the last, and none runs a line past it
+        assert sum(sum(block) < budget for block in blocks) <= 2
+        assert all(sum(block[:-1]) < budget for block in blocks)
+        assert len(blocks[0]) > 1000 if most is None else len(blocks[0]) <= most
 
 
 @pytest.mark.parametrize("ending", ENDINGS)
@@ -889,21 +920,6 @@ def test_reader_holds_the_matrix_once(rounded_csv) -> None:
     assert peak <= y.nbytes + x.nbytes + 40 * row_bytes
 
 
-def test_screen_runs_in_x_plus_a_fixed_working_set(rounded_csv, tmp_path) -> None:
-    # x, the header's names, and then a block of lines, a kernel block or a
-    # slice of report rows (tracemalloc, numpy 2.4: 0.88 MiB above x, 1.08
-    # in a fresh process); y and x grown by a quarter, blocks of 64 lines,
-    # an int64 copy of each kernel block and one report of every row held
-    # 1.45 MiB above x
-    path, cells = rounded_csv
-    argv = ["screen", "--input", str(path), "--response", "y", "--threads", "1",
-            "--out", str(tmp_path / "ranked.csv")]
-    rc, peak = traced_peak(lambda: main(argv))
-    assert rc == 0
-    x_bytes = 195 * 3000 * 8
-    assert peak - x_bytes <= 1.25 * 2 ** 20
-
-
 @pytest.mark.parametrize("text, lines", [
     ("", 0), ("y\n", 1), ("y", 1), ("y\n1\n2\n", 3), ("y\r\n1\r\n2", 3), ("y\r1\r2\r", 3),
     ("y\n1\r\n2\r3\n\n", 5), ('y\n"1\n2"\n3\r\n', 4), ("\r\n" * 9, 9), ("\r" * 9 + "\n", 9),
@@ -973,14 +989,20 @@ def test_report_holds_one_slice_of_rows_at_a_time(tmp_path) -> None:
 
 
 def test_screen_peak_is_set_by_scoring(rounded_csv, tmp_path) -> None:
-    # the read (about 10) and fmv's blocks above x (about 12) in turn; a
-    # parsed matrix split into copies of y and x took about 16.4
+    # x, the header's names, and then a block of lines, a kernel block or a
+    # slice of report rows (tracemalloc, numpy 2.4: 0.88 MiB above x, 1.08
+    # in a fresh process, about 9.4 B/cell); y and x grown by a quarter,
+    # blocks of 64 lines, an int64 copy of each kernel block and one report
+    # of every row held 1.45 MiB above x, and a parsed matrix split into
+    # copies of y and x took about 16.4 B/cell
     path, cells = rounded_csv
     argv = ["screen", "--input", str(path), "--response", "y", "--threads", "1",
             "--out", str(tmp_path / "ranked.csv")]
     rc, peak = traced_peak(lambda: main(argv))
     assert rc == 0
     assert peak / cells <= 13
+    x_bytes = 195 * 3000 * 8
+    assert peak - x_bytes <= 1.25 * 2 ** 20
 
 
 def test_screen_peak_memory_per_cell(tmp_path) -> None:
