@@ -7,6 +7,7 @@ import argparse
 import contextlib
 import csv
 import itertools
+import math
 import os
 import stat
 import sys
@@ -161,26 +162,31 @@ def _parse_row(row: list[str], out: np.ndarray) -> tuple[int, str] | None:
 
 class _Body:
     """The data rows of a CSV, parsed block by block straight into the
-    response vector ``y`` and the predictor matrix ``x`` (every column but
-    the response's).
+    response vector ``y`` and the predictor matrix ``x``.
 
-    ``y`` and ``x`` start with ``capacity`` rows (``_body_capacity``), and
-    grow in place by a quarter only when a row finds them full, as on input
-    that cannot be sized beforehand (a pipe). Rows with a missing value are
-    dropped as each block lands. The first fault in reading order raises: a
-    row of the wrong length, or a row's leftmost non-numeric or infinite
-    cell (a parsed ``inf`` or ``1e999``).
+    ``x`` is allocated at its final width: the ``p - 1`` columns of every
+    header column but the response's, which the body fills, then ``added``
+    columns that the caller writes in place (``screen``'s products and
+    noise). ``y`` and ``x`` start with ``_body_capacity`` rows, at least one,
+    so a width that cannot be allocated fails as an ``InputError`` naming
+    the shape before the body is read. They grow in place by a quarter only
+    when a row finds them full, as on input that cannot be sized beforehand
+    (a pipe). Rows with a missing value are dropped as each block lands. The
+    first fault in reading order raises: a row of the wrong length, or a
+    row's leftmost non-numeric or infinite cell (a parsed ``inf`` or
+    ``1e999``).
     """
 
-    def __init__(self, header: list[str], y_idx: int, capacity: int):
+    def __init__(self, fh, header: list[str], y_idx: int, added: int):
         self.header = header
         self.p = len(header)
         self.y_idx = y_idx
         self.rows = 0  # nonempty rows read so far
         self.kept = 0  # rows written to y and x
         self.dropped = 0
-        self.y = np.empty(capacity)
-        self.x = np.empty((capacity, self.p - 1))
+        self.width = self.p - 1 + added
+        self.y, self.x = np.empty(0), np.empty((0, 0))
+        self.resize(max(_body_capacity(fh), 1))
 
     def add_plain(self, lines: list[str]) -> None:
         """Plain lines (``_is_plain``) in one ``np.loadtxt`` call; a block it
@@ -242,7 +248,7 @@ class _Body:
         j = self.y_idx
         self.y[start:end] = block[:, j]
         self.x[start:end, :j] = block[:, :j]
-        self.x[start:end, j:] = block[:, j + 1:]
+        self.x[start:end, j:self.p - 1] = block[:, j + 1:]
         self.kept = end
 
     def resize(self, rows: int) -> None:
@@ -250,8 +256,11 @@ class _Body:
         # more reference during the call, and the check would refuse. No view
         # of y or x outlives a statement of ``_keep``, and the arrays leave
         # ``_Body`` only after the final trim, so nothing can dangle.
-        self.y.resize(rows, refcheck=False)
-        self.x.resize((rows, self.x.shape[1]), refcheck=False)
+        try:
+            self.y.resize(rows, refcheck=False)
+            self.x.resize((rows, self.width), refcheck=False)
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest size
+            raise InputError(f"cannot allocate a {rows} x {self.width} predictor matrix") from None
 
 
 def _first_repeat(names: list[str], taken: list[str] | tuple = ()) -> str | None:
@@ -334,23 +343,22 @@ def _read_header(fh, path: str, response: str) -> tuple[list[str], int]:
     return header, _response_index(header, response)
 
 
-def _read_body(fh, header: list[str], y_idx: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _read_body(fh, body: _Body) -> tuple[np.ndarray, np.ndarray, int]:
     """The complete rows after the header, split into the response vector
     and the predictor matrix, and the number of rows dropped for a missing
     value.
 
-    ``y`` and ``x`` are sized once from the file's line count
-    (``_body_capacity``) and trimmed to the rows kept, so each row is
-    written straight into them and the matrix is held once. The body
-    streams through in blocks of plain lines of about ``_BLOCK_CHARS``
-    characters, each one ``np.loadtxt`` call; any other line is read by
-    ``csv.reader`` (which may pull further lines for a quoted field) and
-    ``float()``. So cells parse exactly as ``float()`` does, and no list of
-    cell strings is held. Row by row, the first fault in reading order is
-    raised at once: a row of the wrong length or its leftmost non-numeric or
-    infinite cell.
+    ``body`` holds ``y`` and ``x``, allocated once (``_Body``): sized from
+    the file's line count (``_body_capacity``), at ``x``'s final width, and
+    trimmed here to the rows kept. So each row is written straight into the
+    raw columns and the matrix is held once. The body streams through in
+    blocks of plain lines of about ``_BLOCK_CHARS`` characters, each one
+    ``np.loadtxt`` call; any other line is read by ``csv.reader`` (which may
+    pull further lines for a quoted field) and ``float()``. So cells parse
+    exactly as ``float()`` does, and no list of cell strings is held. Row by
+    row, the first fault in reading order is raised at once: a row of the
+    wrong length or its leftmost non-numeric or infinite cell.
     """
-    body = _Body(header, y_idx, _body_capacity(fh))
     plain: list[str] = []
     chars = 0
     for line in fh:
@@ -371,27 +379,28 @@ def _read_body(fh, header: list[str], y_idx: int) -> tuple[np.ndarray, np.ndarra
     return body.y, body.x, body.dropped
 
 
-def _added_columns(args, names: list[str]) -> tuple[list[tuple[int, int]], list[str]]:
-    """The interaction pairs, as positions in ``names``, and the names of
-    every added column, interactions then noise. The header alone decides
-    them, so an unknown interaction column, or an added name that repeats a
-    column name, fails before the body is read."""
-    pairs = []
-    if args.interactions is not None:
-        subset = names if args.interactions == "all" else [
-            tok for tok in args.interactions.split(",") if tok
-        ]
-        missing = [s for s in subset if s not in names]
-        if missing:
-            raise InputError(f"interaction columns not found: {', '.join(missing)}")
-        pos = sorted({names.index(s) for s in subset})  # each named column once
-        pairs = list(itertools.combinations(pos, 2))
-    added_names = [f"{names[a]}*{names[b]}" for a, b in pairs]
-    added_names += [f"noise{i}" for i in range(1, args.noise + 1)]
+def _interaction_columns(spec: str, names: list[str]) -> list[int]:
+    """The positions in ``names`` of the ``--interactions`` columns (``spec``:
+    'all' or comma-separated names), each once and in order; an unknown name
+    fails."""
+    subset = names if spec == "all" else [tok for tok in spec.split(",") if tok]
+    missing = [s for s in subset if s not in names]
+    if missing:
+        raise InputError(f"interaction columns not found: {', '.join(missing)}")
+    return sorted({names.index(s) for s in subset})
+
+
+def _added_names(names: list[str], pos: list[int], noise: int) -> list[str]:
+    """The names of the added columns: the products of the columns at
+    ``pos`` in ``itertools.combinations`` order, then ``noise`` noise
+    columns. The header alone decides them, so an added name that repeats a
+    column name fails before the body is read."""
+    added_names = [f"{names[a]}*{names[b]}" for a, b in itertools.combinations(pos, 2)]
+    added_names += [f"noise{i}" for i in range(1, noise + 1)]
     repeated = _first_repeat(added_names, names)
     if repeated is not None:
         raise InputError(f"added column {repeated!r} repeats a column name")
-    return pairs, added_names
+    return added_names
 
 
 def _write_report(path: Path, headers: list[str], names: list[str], top: np.ndarray,
@@ -419,27 +428,27 @@ def cmd_screen(args) -> int:
     with _csv_input(args.input) as fh:
         header, y_idx = _read_header(fh, args.input, args.response)
         names = [name for j, name in enumerate(header) if j != y_idx]
-        pairs, added_names = _added_columns(args, names)
-        y, x, dropped = _read_body(fh, header, y_idx)
+        pos = [] if args.interactions is None else _interaction_columns(args.interactions, names)
+        # x is allocated at its final width, from counts, before any added
+        # name is made, so a width past memory fails at once
+        body = _Body(fh, header, y_idx, math.comb(len(pos), 2) + args.noise)
+        names += _added_names(names, pos, args.noise)
+        y, x, dropped = _read_body(fh, body)
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
     if y.shape[0] < 2:
         raise InputError("fewer than two complete rows after dropping missing values")
 
-    added = []
-    for (a, b), name in zip(pairs, added_names):
-        with np.errstate(over="ignore"):  # an overflow is named below
-            product = x[:, a] * x[:, b]
-        if not np.isfinite(product).all():
-            raise InputError(f"interaction column {name!r} overflows the float range")
-        added.append(product)
+    with np.errstate(over="ignore"):  # an overflow is named below
+        for k, (a, b) in enumerate(itertools.combinations(pos, 2), start=len(header) - 1):
+            np.multiply(x[:, a], x[:, b], out=x[:, k])
+            if not np.isfinite(x[:, k]).all():
+                raise InputError(f"interaction column {names[k]!r} overflows the float range")
     if args.noise:
         from .simulate import _standard_cauchy, derived_rng
 
-        added.append(_standard_cauchy(derived_rng(args.seed, 0), (x.shape[0], args.noise)))
-    if added:
-        x = np.column_stack([x, *added])
-        names += added_names
+        x[:, x.shape[1] - args.noise:] = _standard_cauchy(derived_rng(args.seed, 0),
+                                                          (x.shape[0], args.noise))
 
     # the small-sample fallback reaches the user as a warning line, without
     # the library's source path and line

@@ -31,7 +31,8 @@ def read_matrix(path, response):
     the rows dropped for a missing value."""
     with fmvscreen.cli._csv_input(path) as fh:
         header, y_idx = fmvscreen.cli._read_header(fh, path, response)
-        return (header, y_idx, *fmvscreen.cli._read_body(fh, header, y_idx))
+        body = fmvscreen.cli._Body(fh, header, y_idx, 0)
+        return (header, y_idx, *fmvscreen.cli._read_body(fh, body))
 
 
 def write_toy_csv(path, n=30, p=13, seed=0):
@@ -140,12 +141,18 @@ def test_screen_interactions_and_noise_reproduce_wide_design(tmp_path) -> None:
     assert ranked.read_bytes() == again.read_bytes()
 
 
-def test_screen_stacks_raw_then_products_then_seeded_noise(tmp_path, monkeypatch) -> None:
-    # the products follow itertools.combinations over the named columns; the
-    # noise block is the seeded Cauchy draw, tan(pi * (u - 0.5)), bit for bit
+@pytest.mark.parametrize("at", [0, 3, 5], ids=["first", "middle", "last"])
+def test_screen_stacks_raw_then_products_then_seeded_noise(tmp_path, monkeypatch, at) -> None:
+    # the raw columns fill the first p - 1 columns of the wider x around the
+    # response wherever it sits, with the NA row dropped; the products follow
+    # itertools.combinations over the named columns; the noise block is the
+    # seeded Cauchy draw, tan(pi * (u - 0.5)), bit for bit
     data = tmp_path / "toy.csv"
-    write_toy_csv(data, n=30, p=5)
-    raw = np.loadtxt(data, delimiter=",", skiprows=1)[:, 1:]
+    write_toy_csv(data, n=31, p=5)
+    raw = np.delete(np.loadtxt(data, delimiter=",", skiprows=1)[:, 1:], 11, axis=0)
+    rows = [line.split(",") for line in data.read_text().splitlines()]
+    rows[12][4] = "NA"
+    data.write_text("".join(",".join(r[1:at + 1] + r[:1] + r[at + 1:]) + "\n" for r in rows))
     seen = []
     real = fmvscreen.cli.fmv_scores
 
@@ -181,6 +188,36 @@ def test_screen_rejects_a_negative_noise_count(tmp_path, capsys) -> None:
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--noise" in err
+    assert not ranked.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_screen_fails_honestly_on_a_width_past_memory(tmp_path, pipe) -> None:
+    # the width comes from counts and x is allocated (one row at least from
+    # a pipe) before any added name is made; building 10**15 names first
+    # ended in a MemoryError traceback. The address-space limit keeps a
+    # regression from taking the machine's memory.
+    resource = pytest.importorskip("resource")
+    data = tmp_path / "toy.csv"
+    write_toy_csv(data, n=40, p=5)
+    ranked = tmp_path / "ranked.csv"
+    limit = 3 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(fmvscreen.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "fmvscreen.cli", "screen", "--input",
+                           "/dev/stdin" if pipe else str(data), "--response", "resp",
+                           "--noise", str(10 ** 15), "--out", str(ranked)],
+                          input=data.read_bytes() if pipe else None, capture_output=True,
+                          timeout=120, preexec_fn=cap_memory,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    rows = 1 if pipe else 40
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (f"error: cannot allocate a {rows} x {5 + 10 ** 15} "
+                                    "predictor matrix\n")
     assert not ranked.exists()
 
 
@@ -1003,6 +1040,28 @@ def test_screen_peak_is_set_by_scoring(rounded_csv, tmp_path) -> None:
     assert peak / cells <= 13
     x_bytes = 195 * 3000 * 8
     assert peak - x_bytes <= 1.25 * 2 ** 20
+
+
+def test_screen_interactions_peak_is_the_final_x_plus_a_working_set(tmp_path) -> None:
+    # x is allocated at its final width and the products are written into
+    # it, so beside x there are only the added names and a kernel block
+    # (tracemalloc, numpy 2.4: 0.98 MiB above x); the products held in a
+    # list and then stacked into a widened copy took 2.9 times x
+    n, p = 60, 80
+    rng = np.random.default_rng(5)
+    data = tmp_path / "wide.csv"
+    with open(data, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["y"] + [f"x{j}" for j in range(1, p + 1)]) + "\n")
+        for row in rng.normal(size=(n, p + 1)).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+    ranked = tmp_path / "ranked.csv"
+    argv = ["screen", "--input", str(data), "--response", "y", "--interactions", "all",
+            "--threads", "1", "--out", str(ranked)]
+    rc, peak = traced_peak(lambda: main(argv))
+    assert rc == 0
+    width = p + math.comb(p, 2)
+    assert len(ranked.read_text().splitlines()) == width + 1
+    assert peak - n * width * 8 <= 1.25 * 2 ** 20
 
 
 def test_screen_peak_memory_per_cell(tmp_path) -> None:
